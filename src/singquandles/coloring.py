@@ -1,14 +1,16 @@
 """Coloring counts of singular diagrams by finite singquandles.
 
-Two backends: generic backtracking with constraint propagation for arbitrary
-structures, and exact modular linear algebra (Smith normal form over Z) for
-the linear family, where every crossing constraint is a linear congruence.
+Two backends: a search over a static plan compiled from the diagram, for
+arbitrary tables, and exact modular linear algebra (Smith normal form over
+Z) for the linear family, where every crossing constraint is a linear
+congruence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 
 from .alexander import AlexanderParams, LinearOps
 from .diagrams import Classical, SingularDiagram
@@ -19,9 +21,6 @@ BACKEND_BRUTE = "brute-force"
 BACKEND_LINEAR = "linear"
 
 DEFAULT_LIST_CAP = 10 ** 6
-
-# sentinel for "no viable value recorded yet" in the deduction sweep
-_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -47,205 +46,106 @@ def serialize_report(report: ColoringReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Backtracker:
-    """Depth-first search over arc colors with worklist propagation.
+def _compile(diagram: SingularDiagram, s: Singquandle) -> list:
+    """The static search plan: one step (seed, read, ops) per seed arc.
 
-    After every assignment, crossings touching it are rescanned: the output
-    legs are functions of the input legs, so sweeping the unknown inputs
-    (at most n^2 cases) finds every arc whose satisfying values collapse to
-    a single candidate.  The search branches on the arc involved in the
-    most-determined crossing (or in index order, which emits solutions
-    lexicographically).
+    Each step seeds the lowest-index arc still unknown, then fires every
+    crossing whose two input legs have just become known.  Firing looks
+    the outputs up in the tables (star for classical crossings, r1 and r2
+    for singular ones); an op (table, a, b, out, check) assigns out when it
+    is still unknown and checks it when it is already known.  read is
+    False for an arc no crossing touches, whose n values extend alike.
     """
-
-    def __init__(self, diagram: SingularDiagram, s: Singquandle, active=None):
-        self.n = s.order
-        self.m = diagram.arcs
-        star, r1, r2 = s.star.rows, s.r1.rows, s.r2.rows
-        self.constraints = []
-        for cr in diagram.crossings:
-            if isinstance(cr, Classical):
-                self.constraints.append((star, cr.a, cr.b, cr.c, None))
-            else:
-                self.constraints.append((r1, cr.nw, cr.ne, cr.sw, (r2, cr.se)))
-        self.con_labels = [frozenset(cr.labels) for cr in diagram.crossings]
-        self.incident = [[] for _ in range(self.m)]
-        for ci, labels in enumerate(self.con_labels):
-            for x in labels:
-                self.incident[x].append(ci)
-        self.active = list(range(self.m)) if active is None else sorted(active)
-        self.color = [None] * self.m
-        self.aborted = False
-
-    def _deduce(self, con):
-        """None: nothing new; False: contradiction; else forced (arc, value) list."""
-        color = self.color
-        table, a, b, out, extra = con
-        va, vb = color[a], color[b]
-        if va is not None and vb is not None:
-            # both inputs known: outputs are computable directly
-            w = table[va][vb]
-            co = color[out]
-            if extra is None:
-                if co is None:
-                    return ((out, w),)
-                return None if co == w else False
-            se_rows, se = extra
-            ws = se_rows[va][vb]
-            cs = color[se]
-            if co is None:
-                if out == se:
-                    return ((out, w),) if w == ws else False
-                if cs is None:
-                    return ((out, w), (se, ws))
-                return ((out, w),) if cs == ws else False
-            if co != w:
-                return False
-            if cs is None:
-                return ((se, ws),)
-            return None if cs == ws else False
-        # some input unknown: sweep the unknown input values, outputs
-        # follow; aliased legs are caught by reading back through color.
-        # pending maps each unknown arc to the single value every viable
-        # sweep case agreed on so far; once all arcs have disagreed the
-        # sweep can stop early (nothing forced, no contradiction)
-        se_rows, se = extra if extra is not None else (None, None)
-        pending = {}
-        for x in (a, b, out) if se is None else (a, b, out, se):
-            if color[x] is None:
-                pending.setdefault(x, _UNSEEN)
-        inputs = (a,) if a == b else tuple(x for x in (a, b) if color[x] is None)
-        hits = 0
-        for combo in product(range(self.n), repeat=len(inputs)):
-            for x, v in zip(inputs, combo):
-                color[x] = v
-            w = table[color[a]][color[b]]
-            co = color[out]
-            if co is not None and co != w:
-                continue
-            cs = None
-            if se_rows is not None:
-                ws = se_rows[color[a]][color[b]]
-                cs = color[se]
-                if cs is None:
-                    if se == out and ws != w:
-                        continue
-                elif cs != ws:
+    star, r1, r2 = s.star.rows, s.r1.rows, s.r2.rows
+    firings = []
+    readers = [[] for _ in range(diagram.arcs)]
+    read = [False] * diagram.arcs
+    for cr in diagram.crossings:
+        if isinstance(cr, Classical):
+            a, b, outs = cr.a, cr.b, ((star, cr.c),)
+        else:
+            a, b, outs = cr.nw, cr.ne, ((r1, cr.sw), (r2, cr.se))
+        for x in {a, b}:
+            readers[x].append(len(firings))
+        firings.append((a, b, outs))
+        for x in cr.labels:
+            read[x] = True
+    missing = [len({a, b}) for a, b, _ in firings]
+    known = [False] * diagram.arcs
+    plan = []
+    for seed in range(diagram.arcs):
+        if known[seed]:
+            continue
+        known[seed] = True
+        ops = []
+        learned = [seed]
+        for x in learned:
+            for i in readers[x]:
+                missing[i] -= 1
+                if missing[i]:
                     continue
-            hits += 1
-            if not pending:
-                break
-            seen = list(zip(inputs, combo))
-            if co is None:
-                seen.append((out, w))
-            if se_rows is not None and cs is None and se != out:
-                seen.append((se, ws))
-            for x, v in seen:
-                cur = pending.get(x)
-                if cur is _UNSEEN:
-                    pending[x] = v
-                elif cur is not None and cur != v:
-                    del pending[x]
-        for x in inputs:
-            color[x] = None
-        if hits == 0:
-            return False
-        return list(pending.items()) or None
-
-    def _propagate(self, queue: set, trail: list) -> bool:
-        while queue:
-            ci = queue.pop()
-            got = self._deduce(self.constraints[ci])
-            if got is False:
-                return False
-            if got is not None:
-                for arc, v in got:
-                    self.color[arc] = v
-                    trail.append(arc)
-                    queue.update(self.incident[arc])
-                # forcing an arc cannot shrink the forcing crossing's own
-                # viable set, so rescanning it would conclude nothing new
-                queue.discard(ci)
-        return True
-
-    def _pick(self, by_index: bool):
-        color = self.color
-        best = None
-        best_known = -1
-        for a in self.active:
-            if color[a] is not None:
-                continue
-            if by_index:
-                return a
-            known = 0
-            for ci in self.incident[a]:
-                pinned = 0
-                for x in self.con_labels[ci]:
-                    if color[x] is not None:
-                        pinned += 1
-                if pinned > known:
-                    known = pinned
-            if known > best_known:
-                best_known = known
-                best = a
-        return best
-
-    def search(self, on_solution=None, by_index: bool = False) -> int:
-        """Count solutions over the active arcs; on_solution may abort by
-        returning False (the count is then meaningless)."""
-        return self._search(set(range(len(self.constraints))), on_solution, by_index)
-
-    def _search(self, dirty, on_solution, by_index) -> int:
-        trail = []
-        total = 0
-        if self._propagate(set(dirty), trail):
-            arc = self._pick(by_index)
-            if arc is None:
-                total = 1
-                if on_solution is not None and not on_solution(tuple(self.color)):
-                    self.aborted = True
-            else:
-                for v in range(self.n):
-                    self.color[arc] = v
-                    total += self._search(self.incident[arc], on_solution, by_index)
-                    if self.aborted:
-                        break
-                self.color[arc] = None
-        for a in reversed(trail):
-            self.color[a] = None
-        return total
+                a, b, outs = firings[i]
+                for table, out in outs:
+                    ops.append((table, a, b, out, known[out]))
+                    if not known[out]:
+                        known[out] = True
+                        learned.append(out)
+        plan.append((seed, read[seed], tuple(ops)))
+    return plan
 
 
 def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
                                list_colorings: bool = False,
                                cap: int = DEFAULT_LIST_CAP) -> ColoringReport:
-    """Exact coloring count by backtracking; works for any structure."""
+    """Exact coloring count by a depth-first search over the seeds' values.
+
+    The plan needs no inverse tables, so this works for any tables.  Seeds
+    are always the lowest unknown arc, so every arc below a seed is fixed
+    by earlier seeds and colorings come out in lexicographic order: the
+    same search lists the first cap of them while it counts them all.
+    Recursion depth is the number of seeds.
+    """
     n = s.order
-    referenced = set()
-    for cr in diagram.crossings:
-        referenced.update(cr.labels)
-    unreferenced = diagram.arcs - len(referenced)
+    plan = _compile(diagram, s)
+    factor = n ** diagram.free
+    if not list_colorings:
+        # an arc no crossing touches takes any color; dropping its step
+        # keeps the recursion as deep as the seeds that matter
+        steps = [step for step in plan if step[1]]
+        factor *= n ** (len(plan) - len(steps))
+        plan = steps
+    color = [None] * diagram.arcs
+    found = []
 
-    solver = _Backtracker(diagram, s, active=referenced)
-    count = solver.search() * n ** (unreferenced + diagram.free)
+    def walk(j, listing):
+        if j == len(plan):
+            if listing:
+                head = tuple(color)
+                for tail in product(range(n), repeat=diagram.free):
+                    if len(found) >= cap:
+                        break
+                    found.append(head + tail)
+            return 1
+        seed, read, ops = plan[j]
+        if not read and not listing:
+            return n * walk(j + 1, False)
+        total = 0
+        for v in range(n):
+            color[seed] = v
+            for table, a, b, out, check in ops:
+                w = table[color[a]][color[b]]
+                if not check:
+                    color[out] = w
+                elif color[out] != w:
+                    break
+            else:
+                total += walk(j + 1, listing and len(found) < cap)
+        return total
 
-    colorings = None
-    truncated = False
-    if list_colorings:
-        collected = []
-
-        def collect(arcs_tuple):
-            for free_combo in product(range(n), repeat=diagram.free):
-                if len(collected) >= cap:
-                    return False
-                collected.append(arcs_tuple + free_combo)
-            return True
-
-        lister = _Backtracker(diagram, s)
-        lister.search(on_solution=collect, by_index=True)
-        colorings = tuple(collected)
-        truncated = len(collected) < count
-    return ColoringReport(count, BACKEND_BRUTE, colorings, truncated)
+    count = walk(0, list_colorings) * factor
+    if not list_colorings:
+        return ColoringReport(count, BACKEND_BRUTE)
+    return ColoringReport(count, BACKEND_BRUTE, tuple(found), len(found) < count)
 
 
 @dataclass(frozen=True)
@@ -326,12 +226,15 @@ def fig8_system_count(k: int, side: str, p: AlexanderParams,
         coeffs = ((1 - b) ** 2, -k * t + b + k)
     else:
         coeffs = (-k + k * t + b, -1 + k + t - k + b)
-    pairs = tuple(
-        (x, y)
-        for x in range(n) for y in range(n)
-        if all(c * (x - y) % n == 0 for c in coeffs))
-    return ColoringReport(len(pairs), BACKEND_LINEAR,
-                          pairs if list_colorings else None, False)
+    # c * (x - y) == 0 mod n for both c exactly when x - y is a multiple
+    # of n / g, so n * g pairs satisfy the system
+    g = gcd(*coeffs, n)
+    pairs = None
+    if list_colorings:
+        diffs = range(0, n, n // g)
+        pairs = tuple((x, y) for x in range(n)
+                      for y in sorted((x - d) % n for d in diffs))
+    return ColoringReport(n * g, BACKEND_LINEAR, pairs, False)
 
 
 @dataclass(frozen=True)

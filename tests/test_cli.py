@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from singquandles import (
@@ -219,3 +224,16 @@ def test_bad_usage_returns_2(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    for module in ("singquandles", "singquandles.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "enumerate", "2"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "count 2" in done.stdout.splitlines()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -26,9 +27,46 @@ from singquandles import (
     make_dihedral_quandle,
     parse_diagram,
     serialize_report,
+    OpTable,
     Singquandle,
+    TangleWord,
+    braid_closure,
+    involutive_quandles,
+    sigma,
+    singquandles_for_star,
+    tangle_relation,
+    tau,
 )
 from helpers import color_count_oracle, color_set_oracle
+
+
+@pytest.fixture(scope="module")
+def small_census():
+    """Every structure of order <= 4, in the order the search lists them."""
+    return [s for n in range(1, 5) for star in involutive_quandles(n)
+            for s in singquandles_for_star(star)]
+
+
+def random_table(rng: random.Random, n: int) -> OpTable:
+    return OpTable(tuple(tuple(rng.randrange(n) for _ in range(n))
+                         for _ in range(n)))
+
+
+def random_word(rng: random.Random, strands: int, length: int) -> TangleWord:
+    letters = []
+    for _ in range(length):
+        i = rng.randint(1, strands - 1)
+        if rng.random() < 0.3:
+            letters.append(tau(i))
+        else:
+            letters.append(sigma(i, mirrored=rng.random() < 0.5))
+    return TangleWord(tuple(letters), strands)
+
+
+def fixed_points(word: TangleWord, s: Singquandle) -> int:
+    relation = tangle_relation(word, s)
+    return sum(1 for colors in product(range(s.order), repeat=word.strands)
+               if relation.apply(colors) == colors)
 
 
 def random_diagram(rng: random.Random) -> SingularDiagram:
@@ -40,6 +78,21 @@ def random_diagram(rng: random.Random) -> SingularDiagram:
         else:
             crossings.append(Singular(*(rng.randrange(arcs) for _ in range(4))))
     return SingularDiagram(arcs, tuple(crossings), free=rng.randint(0, 2))
+
+
+def assert_brute_matches_oracle(diagram, s):
+    want = color_set_oracle(diagram, s)
+    assert count_colorings_bruteforce(diagram, s).count == len(want)
+    full = count_colorings_bruteforce(diagram, s, list_colorings=True)
+    assert full.count == len(want)
+    assert list(full.colorings) == want
+    assert not full.truncated
+    for cap in (0, 1, 2, 7):
+        cut = count_colorings_bruteforce(diagram, s, list_colorings=True,
+                                         cap=cap)
+        assert cut.count == len(want)
+        assert list(cut.colorings) == want[:cap]
+        assert cut.truncated == (cap < len(want))
 
 
 def test_report_serialization():
@@ -87,17 +140,15 @@ def test_truncation(alex1094):
     assert linear_cut.count == 20
 
 
-def test_brute_matches_oracle_on_random_diagrams(alex543):
+def test_brute_matches_oracle_on_random_diagrams(alex543, small_census):
     rng = random.Random(1789)
     structures = [alex543, build_tables(AlexanderParams(4, 1, 2))]
     d3 = make_dihedral_quandle(3)
     structures.append(Singquandle(d3, d3, d3))
-    for _ in range(40):
-        diagram = random_diagram(rng)
-        s = rng.choice(structures)
-        report = count_colorings_bruteforce(diagram, s, list_colorings=True)
-        assert report.count == color_count_oracle(diagram, s)
-        assert list(report.colorings) == color_set_oracle(diagram, s)
+    assert len(small_census) == 211
+    structures.extend(small_census)
+    for _ in range(200):
+        assert_brute_matches_oracle(random_diagram(rng), rng.choice(structures))
 
 
 def test_linear_matches_oracle_on_random_diagrams():
@@ -194,3 +245,53 @@ def test_distinguish_accepts_table_structures(alex543):
     # raw structures go through the brute-force backend
     verdict = distinguish(gen_fig9_left(), gen_fig9_right(), [alex543])
     assert not verdict.separated  # both count 5 over (5,4,3)
+
+
+def test_brute_matches_oracle_under_arbitrary_tables():
+    # tables that satisfy no axiom: the counter must not rely on any
+    rng = random.Random(4409)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        s = Singquandle(random_table(rng, n), random_table(rng, n),
+                        random_table(rng, n))
+        assert_brute_matches_oracle(random_diagram(rng), s)
+
+
+def test_closure_count_is_fixed_points_of_the_word(small_census):
+    rng = random.Random(6067)
+    for _ in range(150):
+        word = random_word(rng, rng.randint(2, 4), rng.randint(0, 8))
+        s = rng.choice(small_census)
+        assert (count_colorings_bruteforce(braid_closure(word), s).count
+                == fixed_points(word, s))
+
+
+def test_long_closure_count_is_fixed_points_of_the_word():
+    word = random_word(random.Random(1608), 4, 90)
+    closure = braid_closure(word)
+    assert closure.arcs >= 100
+    s = build_tables(AlexanderParams(8, 1, 4))
+    assert count_colorings_bruteforce(closure, s).count == fixed_points(word, s)
+
+
+def fig8_pairs_oracle(k, side, p):
+    """The printed system solved by trying every pair (x, y)."""
+    n, t, b = p.n, p.t, p.b
+    if side == "left":
+        coeffs = ((1 - b) ** 2, -k * t + b + k)
+    else:
+        coeffs = (-k + k * t + b, -1 + k + t - k + b)
+    return tuple((x, y) for x in range(n) for y in range(n)
+                 if all(c * (x - y) % n == 0 for c in coeffs))
+
+
+def test_fig8_closed_form_matches_pair_loop():
+    for n in range(1, 40):
+        for p in find_params(n):
+            for k in range(1, 5):
+                for side in ("left", "right"):
+                    want = fig8_pairs_oracle(k, side, p)
+                    report = fig8_system_count(k, side, p, list_colorings=True)
+                    assert report.count == len(want)
+                    assert report.colorings == want
+                    assert fig8_system_count(k, side, p).colorings is None
