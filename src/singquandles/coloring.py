@@ -8,12 +8,13 @@ congruence.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, combinations, islice, product
 from math import gcd
 
 from .alexander import AlexanderParams, LinearOps
-from .diagrams import Classical, SingularDiagram
+from .diagrams import Classical, Singular, SingularDiagram
 from .smith import kernel_count_mod, kernel_vectors_mod
 from .tables import Singquandle
 
@@ -46,52 +47,145 @@ def serialize_report(report: ColoringReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile(diagram: SingularDiagram, s: Singquandle) -> list:
-    """The static search plan: one step (seed, read, ops) per seed arc.
+# The legs a crossing is solved from: each pair but the inputs, for
+# classical (a, b, c) and singular (nw, ne, sw, se) crossings, and each
+# classical leg alone (under a trivial star, c == a).  A lone singular leg
+# seldom fixes another, and a pair with it does so one step later.
+_PAIRS = (((0, 0), (0, 2), (1, 1), (1, 2), (2, 2)),
+          tuple(combinations(range(4), 2))[1:])
 
-    Each step seeds the lowest-index arc still unknown, then fires every
-    crossing whose two input legs have just become known.  Firing looks
-    the outputs up in the tables (star for classical crossings, r1 and r2
-    for singular ones); an op (table, a, b, out, check) assigns out when it
-    is still unknown and checks it when it is already known.  read is
-    False for an arc no crossing touches, whose n values extend alike.
+
+def _inverse(legs: list, q: int, r: int, p: int, n: int):
+    """The table of leg p as a function of legs q and r, or None if it
+    adds nothing to a plan.
+
+    legs lists the leg tuples of one crossing kind, one per pair of inputs.
+    The table is None where no inputs give legs q and r those colors, so
+    with p == q it is a filter, which adds nothing if it passes them all.
+    q == r asks about one leg alone, and the table is read on its diagonal.
     """
-    star, r1, r2 = s.star.rows, s.r1.rows, s.r2.rows
-    firings = []
-    readers = [[] for _ in range(diagram.arcs)]
-    read = [False] * diagram.arcs
-    for cr in diagram.crossings:
-        if isinstance(cr, Classical):
-            a, b, outs = cr.a, cr.b, ((star, cr.c),)
-        else:
-            a, b, outs = cr.nw, cr.ne, ((r1, cr.sw), (r2, cr.se))
-        for x in {a, b}:
-            readers[x].append(len(firings))
-        firings.append((a, b, outs))
-        for x in cr.labels:
-            read[x] = True
-    missing = [len({a, b}) for a, b, _ in firings]
-    known = [False] * diagram.arcs
-    plan = []
-    for seed in range(diagram.arcs):
-        if known[seed]:
-            continue
+    table = [[None] * n for _ in range(n)]
+    for t in legs:
+        row = table[t[q]]
+        w = row[t[r]]
+        if w is None:
+            row[t[r]] = t[p]
+        elif w != t[p]:
+            return None
+    unmet = sum(row.count(None) for row in table) if p == q else -1
+    return None if unmet == (n * n - n if q == r else 0) else table
+
+
+def _compile(diagram: SingularDiagram, s: Singquandle) -> list:
+    """The static search plan: one step (seed, ops) per seed arc.
+
+    After each seed, every crossing whose two input legs are known fires:
+    its outputs are looked up in the tables (star for classical crossings,
+    r1 and r2 for singular ones).  A crossing that cannot fire is solved
+    from its known legs (_PAIRS): a filter rejects colors that no inputs
+    give those legs, and a leg that they determine under these tables is
+    read from an inverse table (_inverse).  An op (table, x, y, out, check)
+    assigns table[x][y] to out when check is False, and otherwise rejects
+    the seed's value unless out already holds it.
+
+    The first seed is the lowest-index arc; each later one is the unknown
+    input, of a crossing with one input known, that lets the most arcs be
+    learned.  So the seeds, and the cost, hardly hang on how the arcs are
+    numbered.  Arcs no crossing touches get no step.
+    """
+    n = s.order
+    kinds = ((s.star.rows,), (s.r1.rows, s.r2.rows))
+    crossings = []
+    touching = [[] for _ in range(diagram.arcs)]
+    for i, cr in enumerate(diagram.crossings):
+        crossings.append((cr.labels, isinstance(cr, Singular)))
+        for x in set(cr.labels):
+            touching[x].append(i)
+    known = [not t for t in touching]
+    fired = [False] * len(crossings)
+    solved = set()
+    memo = {}
+
+    def table(kind, q, r, p):
+        """_inverse for a crossing kind, made once."""
+        key = (kind, q, r, p)
+        if key not in memo:
+            if kind not in memo:
+                inputs = zip(*product(range(n), repeat=2))
+                flat = (chain.from_iterable(rows) for rows in kinds[kind])
+                memo[kind] = list(zip(*inputs, *flat))
+            memo[key] = _inverse(memo[kind], q, r, p, n)
+        return memo[key]
+
+    def solve(i, known, solved, ops):
+        legs, kind = crossings[i]
+        new = []
+        for q, r in _PAIRS[kind]:
+            x, y = legs[q], legs[r]
+            if not (known[x] and known[y]) or (i, q, r) in solved:
+                continue
+            solved.add((i, q, r))
+            # a lone input leg meets every color
+            feasible = table(kind, q, r, q) if r > 1 else None
+            if feasible is not None:
+                ops.append((feasible, x, y, x, True))
+            for p, z in enumerate(legs):
+                inverse = None if known[z] else table(kind, q, r, p)
+                if inverse is not None:
+                    known[z] = True
+                    ops.append((inverse, x, y, z, False))
+                    new.append(z)
+        return new
+
+    def spread(seed, known, fired, solved):
+        """The ops that learn seed and every arc it determines."""
         known[seed] = True
         ops = []
         learned = [seed]
-        for x in learned:
-            for i in readers[x]:
-                missing[i] -= 1
-                if missing[i]:
-                    continue
-                a, b, outs = firings[i]
-                for table, out in outs:
-                    ops.append((table, a, b, out, known[out]))
-                    if not known[out]:
-                        known[out] = True
-                        learned.append(out)
-        plan.append((seed, read[seed], tuple(ops)))
-    return plan
+        while learned:
+            waiting = set()
+            for x in learned:
+                for i in touching[x]:
+                    if fired[i]:
+                        continue
+                    legs, kind = crossings[i]
+                    a, b = legs[0], legs[1]
+                    if not (known[a] and known[b]):
+                        waiting.add(i)
+                        continue
+                    fired[i] = True
+                    for rows, out in zip(kinds[kind], legs[2:]):
+                        ops.append((rows, a, b, out, known[out]))
+                        if not known[out]:
+                            known[out] = True
+                            learned.append(out)
+            learned = []
+            for i in sorted(waiting):
+                if not fired[i]:
+                    learned += solve(i, known, solved, ops)
+        return ops
+
+    def unlearned(x):
+        """How many arcs stay unknown if x is the next seed."""
+        trial = known[:]
+        spread(x, trial, fired[:], set(solved))
+        return trial.count(False)
+
+    plan = []
+    low = 0
+    while True:
+        while low < diagram.arcs and known[low]:
+            low += 1
+        if low == diagram.arcs:
+            return plan
+        ready = sorted({x for legs, _ in crossings
+                        if known[legs[0]] != known[legs[1]]
+                        for x in legs[:2] if not known[x]})
+        if len(ready) > 1:
+            seed = min(ready, key=unlearned)
+        else:
+            seed = ready[0] if ready else low
+        plan.append((seed, tuple(spread(seed, known, fired, solved))))
 
 
 def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
@@ -99,36 +193,33 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
                                cap: int = DEFAULT_LIST_CAP) -> ColoringReport:
     """Exact coloring count by a depth-first search over the seeds' values.
 
-    The plan needs no inverse tables, so this works for any tables.  Seeds
-    are always the lowest unknown arc, so every arc below a seed is fixed
-    by earlier seeds and colorings come out in lexicographic order: the
-    same search lists the first cap of them while it counts them all.
+    The plan's inverse tables are read off the given tables, so this works
+    for any tables.  A listing keeps the least cap colorings the search
+    meets, so it costs about what the count does, whatever the numbering.
     Recursion depth is the number of seeds.
     """
     n = s.order
     plan = _compile(diagram, s)
-    factor = n ** diagram.free
-    if not list_colorings:
-        # an arc no crossing touches takes any color; dropping its step
-        # keeps the recursion as deep as the seeds that matter
-        steps = [step for step in plan if step[1]]
-        factor *= n ** (len(plan) - len(steps))
-        plan = steps
+    # an arc no crossing touches takes any color: each leaf of the search
+    # stands for n colorings per such arc and per free circle
+    touched = {x for cr in diagram.crossings for x in cr.labels}
+    unread = [x for x in range(diagram.arcs) if x not in touched]
     color = [None] * diagram.arcs
-    found = []
+    kept = []
 
-    def walk(j, listing):
+    def gather():
+        kept.append(tuple(color))
+        if len(kept) > 2 * cap:
+            kept.sort()
+            del kept[cap:]
+        return 1
+
+    leaf = gather if list_colorings else (lambda: 1)
+
+    def walk(j):
         if j == len(plan):
-            if listing:
-                head = tuple(color)
-                for tail in product(range(n), repeat=diagram.free):
-                    if len(found) >= cap:
-                        break
-                    found.append(head + tail)
-            return 1
-        seed, read, ops = plan[j]
-        if not read and not listing:
-            return n * walk(j + 1, False)
+            return leaf()
+        seed, ops = plan[j]
         total = 0
         for v in range(n):
             color[seed] = v
@@ -139,13 +230,27 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
                 elif color[out] != w:
                     break
             else:
-                total += walk(j + 1, listing and len(found) < cap)
+                total += walk(j + 1)
         return total
 
-    count = walk(0, list_colorings) * factor
+    count = walk(0) * n ** (len(unread) + diagram.free)
     if not list_colorings:
         return ColoringReport(count, BACKEND_BRUTE)
-    return ColoringReport(count, BACKEND_BRUTE, tuple(found), len(found) < count)
+
+    def widen(head):
+        coloring = list(head)
+        for values in product(range(n), repeat=len(unread)):
+            for x, v in zip(unread, values):
+                coloring[x] = v
+            yield tuple(coloring)
+
+    # a leaf ranked cap or later only widens past the first cap colorings
+    heads = sorted(kept)[:cap]
+    if unread:
+        heads = heapq.merge(*map(widen, heads))
+    tails = list(product(range(n), repeat=diagram.free))
+    listed = tuple(islice((c + t for c in heads for t in tails), cap))
+    return ColoringReport(count, BACKEND_BRUTE, listed, len(listed) < count)
 
 
 @dataclass(frozen=True)
@@ -191,21 +296,12 @@ def count_colorings_linear(diagram: SingularDiagram, p,
     count = base * n ** diagram.free
 
     colorings = None
-    truncated = False
-    if list_colorings:
-        if base <= cap:
-            vectors = sorted(kernel_vectors_mod(
-                [list(r) for r in system.rows], diagram.arcs, n))
-            collected = []
-            for vec in vectors:
-                for free_combo in product(range(n), repeat=diagram.free):
-                    if len(collected) >= cap:
-                        break
-                    collected.append(vec + free_combo)
-            colorings = tuple(collected)
-            truncated = len(collected) < count
-        else:
-            truncated = True
+    if list_colorings and base <= cap:
+        vectors = sorted(kernel_vectors_mod(
+            [list(r) for r in system.rows], diagram.arcs, n))
+        tails = list(product(range(n), repeat=diagram.free))
+        colorings = tuple(islice((v + t for v in vectors for t in tails), cap))
+    truncated = list_colorings and (colorings is None or len(colorings) < count)
     return ColoringReport(count, BACKEND_LINEAR, colorings, truncated)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -83,6 +84,7 @@ def random_diagram(rng: random.Random) -> SingularDiagram:
 def assert_brute_matches_oracle(diagram, s):
     want = color_set_oracle(diagram, s)
     assert count_colorings_bruteforce(diagram, s).count == len(want)
+    assert len(want) == color_count_oracle(diagram, s)
     full = count_colorings_bruteforce(diagram, s, list_colorings=True)
     assert full.count == len(want)
     assert list(full.colorings) == want
@@ -93,6 +95,13 @@ def assert_brute_matches_oracle(diagram, s):
         assert cut.count == len(want)
         assert list(cut.colorings) == want[:cap]
         assert cut.truncated == (cap < len(want))
+
+
+def renumber(diagram: SingularDiagram, perm) -> SingularDiagram:
+    """The same diagram with arc x called perm[x]."""
+    return SingularDiagram(diagram.arcs, tuple(
+        type(cr)(*(perm[x] for x in cr.labels)) for cr in diagram.crossings),
+        diagram.free)
 
 
 def test_report_serialization():
@@ -264,6 +273,77 @@ def test_closure_count_is_fixed_points_of_the_word(small_census):
         s = rng.choice(small_census)
         assert (count_colorings_bruteforce(braid_closure(word), s).count
                 == fixed_points(word, s))
+
+
+def test_brute_matches_oracle_on_larger_random_diagrams(small_census):
+    # more arcs and crossings than random_diagram, so that seeds are
+    # chosen among several candidates and crossings are solved backwards
+    rng = random.Random(2718)
+    for _ in range(150):
+        arcs = rng.randint(4, 6)
+        crossings = []
+        for _ in range(rng.randint(2, 6)):
+            if rng.random() < 0.5:
+                crossings.append(Classical(*rng.sample(range(arcs), 3)))
+            else:
+                crossings.append(Singular(*rng.sample(range(arcs), 4)))
+        diagram = SingularDiagram(arcs, tuple(crossings), rng.randint(0, 1))
+        if rng.random() < 0.5:
+            s = rng.choice(small_census)
+        else:
+            n = rng.randint(1, 4)
+            s = Singquandle(random_table(rng, n), random_table(rng, n),
+                            random_table(rng, n))
+        assert_brute_matches_oracle(diagram, s)
+
+
+def test_listing_follows_a_renumbering(small_census):
+    rng = random.Random(3301)
+    for _ in range(60):
+        closure = braid_closure(random_word(rng, rng.randint(2, 4),
+                                            rng.randint(1, 8)))
+        s = rng.choice(small_census)
+        perm = list(range(closure.arcs))
+        rng.shuffle(perm)
+        want = []
+        for coloring in count_colorings_bruteforce(
+                closure, s, list_colorings=True).colorings:
+            renamed = [None] * closure.arcs
+            for x, v in enumerate(coloring):
+                renamed[perm[x]] = v
+            want.append(tuple(renamed))
+        got = count_colorings_bruteforce(renumber(closure, perm), s,
+                                         list_colorings=True)
+        assert list(got.colorings) == sorted(want)
+
+
+def test_cost_does_not_hang_on_arc_numbering():
+    # in the closure of s1^40 crossing i reads arcs i, i + 1 and writes arc
+    # i + 2; with the even arcs numbered first no crossing has two inputs
+    # among the low numbers, and a search that seeds arcs in index order
+    # visits 3^20 nodes
+    ring = braid_closure(TangleWord(tuple(sigma(1) for _ in range(40)), 2))
+    evens_first = renumber(ring, [x // 2 if x % 2 == 0 else 20 + x // 2
+                                  for x in range(40)])
+    d3 = make_dihedral_quandle(3)
+    cases = [(ring, evens_first, Singquandle(d3, d3, d3))]
+    closure = braid_closure(random_word(random.Random(1608), 4, 90))
+    perm = list(range(closure.arcs))
+    random.Random(7).shuffle(perm)
+    shuffled = renumber(closure, perm)
+    for p in (AlexanderParams(10, 9, 4), AlexanderParams(8, 1, 4)):
+        cases.append((closure, shuffled, build_tables(p)))
+    start = time.perf_counter()
+    for diagram, renumbered, s in cases:
+        want = count_colorings_bruteforce(diagram, s).count
+        assert count_colorings_bruteforce(renumbered, s).count == want
+        listing = count_colorings_bruteforce(renumbered, s,
+                                             list_colorings=True, cap=5)
+        assert listing.count == want
+        assert len(listing.colorings) == min(5, want)
+    # far above what a plan that follows the crossings needs, far below
+    # 3^20 nodes
+    assert time.perf_counter() - start < 20
 
 
 def test_long_closure_count_is_fixed_points_of_the_word():
