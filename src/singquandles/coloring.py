@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, islice, product
 from math import gcd
 
@@ -104,18 +105,17 @@ def _compile(diagram: SingularDiagram, s: Singquandle) -> list:
     known = [not t for t in touching]
     fired = [False] * len(crossings)
     solved = set()
-    memo = {}
 
+    @cache
+    def legs_of(kind):
+        """The leg tuples of a crossing kind, one per pair of inputs."""
+        inputs = zip(*product(range(n), repeat=2))
+        flat = (chain.from_iterable(rows) for rows in kinds[kind])
+        return list(zip(*inputs, *flat))
+
+    @cache
     def table(kind, q, r, p):
-        """_inverse for a crossing kind, made once."""
-        key = (kind, q, r, p)
-        if key not in memo:
-            if kind not in memo:
-                inputs = zip(*product(range(n), repeat=2))
-                flat = (chain.from_iterable(rows) for rows in kinds[kind])
-                memo[kind] = list(zip(*inputs, *flat))
-            memo[key] = _inverse(memo[kind], q, r, p, n)
-        return memo[key]
+        return _inverse(legs_of(kind), q, r, p, n)
 
     def solve(i, known, solved, ops):
         legs, kind = crossings[i]
@@ -125,8 +125,7 @@ def _compile(diagram: SingularDiagram, s: Singquandle) -> list:
             if not (known[x] and known[y]) or (i, q, r) in solved:
                 continue
             solved.add((i, q, r))
-            # a lone input leg meets every color
-            feasible = table(kind, q, r, q) if r > 1 else None
+            feasible = table(kind, q, r, q)
             if feasible is not None:
                 ops.append((feasible, x, y, x, True))
             for p, z in enumerate(legs):
