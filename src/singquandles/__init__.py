@@ -25,7 +25,7 @@ from .enumeration import (MAX_ORDER, Census, canonical_form,
                           derive_r2, enumerate_singquandles,
                           involutive_quandles, is_isomorphic, relabel,
                           serialize_census, singquandles_for_star)
-from .smith import kernel_count_mod, kernel_vectors_mod, smith_normal_form
+from .smith import kernel_count_mod, kernel_vectors_mod
 from .tables import (OpTable, Singquandle, TableParseError,
                      make_dihedral_quandle, make_trivial_quandle,
                      parse_tables, serialize_tables)
@@ -57,6 +57,5 @@ __all__ = [
     "parse_diagram", "parse_tables", "parse_word", "relabel",
     "rotate_singular", "serialize_census", "serialize_diagram",
     "serialize_report", "serialize_tables", "sigma", "singquandles_for_star",
-    "smith_normal_form", "tangle_relation", "tau", "verify_proposition",
-    "word_matrix",
+    "tangle_relation", "tau", "verify_proposition", "word_matrix",
 ]

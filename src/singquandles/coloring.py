@@ -1,9 +1,9 @@
 """Coloring counts of singular diagrams by finite singquandles.
 
 Two backends: a search over a static plan compiled from the diagram, for
-arbitrary tables, and exact modular linear algebra (Smith normal form over
-Z) for the linear family, where every crossing constraint is a linear
-congruence.
+arbitrary tables, and exact linear algebra modulo n (one diagonalization
+of the congruence system) for the linear family, where every crossing
+constraint is a linear congruence.
 """
 
 from __future__ import annotations
@@ -77,8 +77,27 @@ def _inverse(legs: list, q: int, r: int, p: int, n: int):
     return None if unmet == (n * n - n if q == r else 0) else table
 
 
-def _compile(diagram: SingularDiagram, s: Singquandle) -> list:
-    """The static search plan: one step (seed, ops) per seed arc.
+def _vacuous(cr, s: Singquandle) -> bool:
+    """Whether crossing cr holds under every coloring of its arcs.
+
+    Only a crossing whose outputs are among its inputs can, such as a kink
+    under an idempotent star.  It constrains nothing, so its arcs may be
+    left to count n each, like arcs no crossing touches.
+    """
+    labels = cr.labels
+    a, b = labels[:2]
+    if not {a, b}.issuperset(labels[2:]):
+        return False
+    n = s.order
+    pairs = [(x, x) for x in range(n)] if a == b else product(range(n), repeat=2)
+    tables = (s.r1.rows, s.r2.rows) if isinstance(cr, Singular) else (s.star.rows,)
+    return all(rows[x][y] == {a: x, b: y}[out]
+               for x, y in pairs for rows, out in zip(tables, labels[2:]))
+
+
+def _compile(diagram: SingularDiagram, s: Singquandle):
+    """The static search plan, one step (seed, ops) per seed arc, and the
+    unread arcs, which no crossing constrains.
 
     After each seed, every crossing whose two input legs are known fires:
     its outputs are looked up in the tables (star for classical crossings,
@@ -92,17 +111,20 @@ def _compile(diagram: SingularDiagram, s: Singquandle) -> list:
     The first seed is the lowest-index arc; each later one is the unknown
     input, of a crossing with one input known, that lets the most arcs be
     learned.  So the seeds, and the cost, hardly hang on how the arcs are
-    numbered.  Arcs no crossing touches get no step.
+    numbered.  Vacuous crossings are left out, so an arc that no other
+    crossing touches is unread and gets no step.
     """
     n = s.order
     kinds = ((s.star.rows,), (s.r1.rows, s.r2.rows))
     crossings = []
     touching = [[] for _ in range(diagram.arcs)]
-    for i, cr in enumerate(diagram.crossings):
-        crossings.append((cr.labels, isinstance(cr, Singular)))
-        for x in set(cr.labels):
-            touching[x].append(i)
+    for cr in diagram.crossings:
+        if not _vacuous(cr, s):
+            for x in set(cr.labels):
+                touching[x].append(len(crossings))
+            crossings.append((cr.labels, isinstance(cr, Singular)))
     known = [not t for t in touching]
+    unread = [x for x, t in enumerate(touching) if not t]
     fired = [False] * len(crossings)
     solved = set()
 
@@ -176,7 +198,7 @@ def _compile(diagram: SingularDiagram, s: Singquandle) -> list:
         while low < diagram.arcs and known[low]:
             low += 1
         if low == diagram.arcs:
-            return plan
+            return plan, unread
         ready = sorted({x for legs, _ in crossings
                         if known[legs[0]] != known[legs[1]]
                         for x in legs[:2] if not known[x]})
@@ -195,14 +217,12 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     The plan's inverse tables are read off the given tables, so this works
     for any tables.  A listing keeps the least cap colorings the search
     meets, so it costs about what the count does, whatever the numbering.
-    Recursion depth is the number of seeds.
+    The search keeps its own stack, so any number of seeds is fine.
     """
     n = s.order
-    plan = _compile(diagram, s)
-    # an arc no crossing touches takes any color: each leaf of the search
-    # stands for n colorings per such arc and per free circle
-    touched = {x for cr in diagram.crossings for x in cr.labels}
-    unread = [x for x in range(diagram.arcs) if x not in touched]
+    # an unread arc takes any color: each leaf of the search stands for n
+    # colorings per unread arc and per free circle
+    plan, unread = _compile(diagram, s)
     color = [None] * diagram.arcs
     kept = []
 
@@ -215,24 +235,30 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
 
     leaf = gather if list_colorings else (lambda: 1)
 
-    def walk(j):
-        if j == len(plan):
-            return leaf()
-        seed, ops = plan[j]
-        total = 0
-        for v in range(n):
-            color[seed] = v
-            for table, a, b, out, check in ops:
-                w = table[color[a]][color[b]]
-                if not check:
-                    color[out] = w
-                elif color[out] != w:
-                    break
+    # the stack holds the (seed, ops, value, next step's entries) still to
+    # try, the least value on top: the walk is depth first, and meets the
+    # leaves in lexicographic order of the seeds' values in plan order
+    entries = None
+    for seed, ops in reversed(plan):
+        entries = [(seed, ops, v, entries) for v in reversed(range(n))]
+    leaves = 0 if plan else leaf()
+    stack = list(entries or ())
+    while stack:
+        seed, ops, v, after = stack.pop()
+        color[seed] = v
+        for table, a, b, out, check in ops:
+            w = table[color[a]][color[b]]
+            if not check:
+                color[out] = w
+            elif color[out] != w:
+                break
+        else:
+            if after is None:
+                leaves += leaf()
             else:
-                total += walk(j + 1)
-        return total
+                stack += after
 
-    count = walk(0) * n ** (len(unread) + diagram.free)
+    count = leaves * n ** (len(unread) + diagram.free)
     if not list_colorings:
         return ColoringReport(count, BACKEND_BRUTE)
 
@@ -287,17 +313,17 @@ def _as_ops(p) -> LinearOps:
 def count_colorings_linear(diagram: SingularDiagram, p,
                            list_colorings: bool = False,
                            cap: int = DEFAULT_LIST_CAP) -> ColoringReport:
-    """Coloring count for a linear structure via Smith normal form."""
+    """Coloring count for a linear structure: the size of the kernel mod n
+    of its congruence system, which is diagonalized modulo n."""
     ops = _as_ops(p)
     n = ops.n
     system = ModularSystem.from_diagram(diagram, ops)
-    base = kernel_count_mod([list(r) for r in system.rows], diagram.arcs, n)
+    base = kernel_count_mod(system.rows, diagram.arcs, n)
     count = base * n ** diagram.free
 
     colorings = None
     if list_colorings and base <= cap:
-        vectors = sorted(kernel_vectors_mod(
-            [list(r) for r in system.rows], diagram.arcs, n))
+        vectors = sorted(kernel_vectors_mod(system.rows, diagram.arcs, n))
         tails = list(product(range(n), repeat=diagram.free))
         colorings = tuple(islice((v + t for v in vectors for t in tails), cap))
     truncated = list_colorings and (colorings is None or len(colorings) < count)

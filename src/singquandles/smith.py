@@ -1,131 +1,79 @@
-"""Integer Smith normal form and kernel counting over Z_n.
+"""Kernels of integer matrices modulo n.
 
-Pure-Python exact arithmetic; matrices here are tiny (one row per crossing
-constraint).  smith_normal_form returns (diag, U, V) with U*A*V = D, U and V
-unimodular, D diagonal with nonnegative entries and d_i | d_{i+1}.
-
-For A with v columns, the number of c in Z_n^v with A c == 0 (mod n) is
-
-    n^(v - r) * prod(gcd(d_i, n) for the r nonzero diagonal entries)
-
-and the solutions are exactly c = V y mod n where y_i ranges over the
-multiples of n // gcd(d_i, n) for i < r and over all of Z_n otherwise.
+Row operations invertible mod n keep the solutions of A c == 0 (mod n),
+and column operations A -> A V turn them into c = V y.  _diagonalize
+applies both until A is diagonal mod n, with d_j on column j (0 where no
+pivot fell).  Then there are prod(gcd(d_j, n)) solutions: c = V y mod n,
+where y_j runs over the multiples of n // gcd(d_j, n).
 """
 
-from __future__ import annotations
-
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 
-def _identity(k: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def smith_normal_form(matrix):
-    """Return (diag, U, V) with U*A*V diagonal; diag has min(rows, cols) entries."""
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = _identity(m)
-    v = _identity(n)
-    limit = min(m, n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def diagonalize(start: int):
-        t = start
-        while t < limit:
-            pivot = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    x = a[i][j]
-                    if x and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(t + 1, m):
-                    if a[i][t]:
-                        add_row(i, t, -(a[i][t] // a[t][t]))
-                        if a[i][t]:
-                            swap_rows(t, i)
-                            dirty = True
-                for j in range(t + 1, n):
-                    if a[t][j]:
-                        add_col(j, t, -(a[t][j] // a[t][t]))
-                        if a[t][j]:
-                            swap_cols(t, j)
-                            dirty = True
-            if a[t][t] < 0:
-                add_row(t, t, -2)
-            t += 1
-
-    diagonalize(0)
-    # enforce the divisibility chain d_k | d_{k+1}; each fix can shrink d_k,
-    # so rescan from one step back
-    k = 0
-    while k + 1 < limit:
-        dk, dnext = a[k][k], a[k + 1][k + 1]
-        if dk and dnext % dk:
-            add_col(k, k + 1, 1)
-            diagonalize(k)
-            k = max(k - 1, 0)
+def _subtract(dst: dict, src: dict, q: int, n: int) -> None:
+    """dst -= q * src mod n, on sparse vectors {index: nonzero residue},
+    each residue taken in (-n/2, n/2]."""
+    for k, x in src.items():
+        y = (dst.get(k, 0) - q * x) % n
+        if y:
+            dst[k] = y - n if 2 * y > n else y
         else:
-            k += 1
+            dst.pop(k, None)
 
-    diag = [a[i][i] for i in range(limit)]
-    return diag, u, v
+
+def _diagonalize(matrix, ncols: int, n: int):
+    """Return (diag, v): column j's diagonal entry and column j of V.
+
+    Each round pivots on the nonzero entry p of least absolute value and
+    clears its column by row operations.  Then its row is cleared by column
+    operations, which, with p alone in its column, change only that row and
+    V.  A nonzero remainder is smaller than p, so the rounds end.
+    """
+    if n < 1:
+        raise ValueError("modulus must be >= 1")
+    rows = [{} for _ in matrix]
+    for row, entries in zip(rows, matrix):
+        _subtract(row, dict(enumerate(entries)), -1, n)
+    v = [{j: 1} for j in range(ncols)]
+    diag = [0] * ncols
+    while rows := [row for row in rows if row]:
+        best = (n, 0, 0)
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if abs(x) < best[0]:
+                    best = (abs(x), i, j)
+            if best[0] == 1:
+                break
+        _, i, j = best
+        pivot = rows[i]
+        p = pivot[j]
+        for row in rows:
+            if row is not pivot and j in row:
+                _subtract(row, pivot, row[j] // p, n)
+        if any(j in row for row in rows if row is not pivot):
+            continue
+        for k in [k for k in pivot if k != j]:
+            _subtract(v[k], v[j], pivot[k] // p, n)
+            _subtract(pivot, {k: p}, pivot[k] // p, n)
+        if len(pivot) == 1:
+            diag[j] = pivot.pop(j)
+    return diag, v
 
 
 def kernel_count_mod(matrix, ncols: int, n: int) -> int:
     """Number of c in Z_n^ncols with matrix @ c == 0 (mod n)."""
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    if not matrix:
-        return n ** ncols
-    diag, _, _ = smith_normal_form(matrix)
-    nonzero = [d for d in diag if d]
-    count = n ** (ncols - len(nonzero))
-    for d in nonzero:
-        count *= gcd(d, n)
-    return count
+    return prod(gcd(d, n) for d in _diagonalize(matrix, ncols, n)[0])
 
 
 def kernel_vectors_mod(matrix, ncols: int, n: int):
     """All kernel vectors mod n, unsorted; use only when the count is small."""
-    if not matrix:
-        return [tuple(y) for y in product(range(n), repeat=ncols)]
-    diag, _, v = smith_normal_form(matrix)
-    nonzero = [d for d in diag if d]
-    r = len(nonzero)
-    choices = [range(0, n, n // gcd(d, n)) for d in nonzero]
-    choices += [range(n) for _ in range(ncols - r)]
+    diag, v = _diagonalize(matrix, ncols, n)
     out = []
-    for y in product(*choices):
-        out.append(tuple(sum(v[i][j] * y[j] for j in range(ncols)) % n for i in range(ncols)))
+    for y in product(*(range(0, n, n // gcd(d, n)) for d in diag)):
+        c = [0] * ncols
+        for yj, column in zip(y, v):
+            for i, x in column.items():
+                c[i] += x * yj
+        out.append(tuple(x % n for x in c))
     return out

@@ -123,24 +123,3 @@ def joined_census_count(n: int) -> int:
                 total += 1
     return total
 
-
-def int_det(matrix) -> int:
-    """Exact integer determinant by cofactor expansion; fine for tiny sizes."""
-    k = len(matrix)
-    if k == 1:
-        return matrix[0][0]
-    total = 0
-    for j in range(k):
-        if matrix[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        total += (-1) ** j * matrix[0][j] * int_det(minor)
-    return total
-
-
-def mat_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]

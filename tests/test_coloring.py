@@ -27,6 +27,8 @@ from singquandles import (
     gen_fig9_right,
     make_dihedral_quandle,
     parse_diagram,
+    parse_word,
+    serialize_diagram,
     serialize_report,
     OpTable,
     Singquandle,
@@ -38,6 +40,7 @@ from singquandles import (
     tangle_relation,
     tau,
 )
+from singquandles.cli import main
 from helpers import color_count_oracle, color_set_oracle
 
 
@@ -375,3 +378,69 @@ def test_fig8_closed_form_matches_pair_loop():
                     assert report.count == len(want)
                     assert report.colorings == want
                     assert fig8_system_count(k, side, p).colorings is None
+
+
+def shuffled_closure(seed: int) -> SingularDiagram:
+    """A 4-strand closure of at least 135 arcs, its labels shuffled."""
+    rng = random.Random(seed)
+    closure = braid_closure(random_word(rng, 4, 125))
+    assert closure.arcs >= 135
+    perm = list(range(closure.arcs))
+    rng.shuffle(perm)
+    return renumber(closure, perm)
+
+
+def test_linear_counts_the_27_arc_closure():
+    # elimination over Z without reduction mod n does not finish on this
+    # closure: its entries grow without bound
+    closure = braid_closure(parse_word(
+        "t1 s2 s3 t2 s1' s3 s2' s3 s3 s3 t3 s1 s2' s2 s2 t3 t1 t1 t1 s3'", 4))
+    assert closure.arcs == 27
+    p = AlexanderParams(10, 9, 4)
+    start = time.perf_counter()
+    assert count_colorings_linear(closure, p).count == 20
+    assert time.perf_counter() - start < 5
+    assert count_colorings_bruteforce(closure, build_tables(p)).count == 20
+
+
+def test_linear_matches_brute_on_long_shuffled_closures():
+    family = [p for n in range(1, 13) for p in find_params(n)]
+    for seed in (135, 136):
+        closure = shuffled_closure(seed)
+        for p in family:
+            assert (count_colorings_linear(closure, p).count
+                    == count_colorings_bruteforce(closure, build_tables(p)).count)
+    # the last closure has 40 colorings under (10, 9, 4)
+    p = AlexanderParams(10, 9, 4)
+    linear = count_colorings_linear(closure, p, list_colorings=True)
+    assert 1 < linear.count <= 1000
+    brute = count_colorings_bruteforce(closure, build_tables(p),
+                                       list_colorings=True)
+    assert linear.colorings == brute.colorings
+    assert not linear.truncated and not brute.truncated
+
+
+def test_many_seeds_and_vacuous_kinks(tmp_path, capsys):
+    kinks = SingularDiagram(1500, tuple(Classical(i, i, i) for i in range(1500)))
+    untouched = SingularDiagram(1500)
+    s = build_tables(AlexanderParams(3, 1, 0))
+    for diagram in (kinks, untouched):
+        # a kink holds under every coloring by an idempotent star, so each
+        # arc counts 3, as an arc no crossing touches does
+        assert count_colorings_bruteforce(diagram, s).count == 3 ** 1500
+        report = count_colorings_bruteforce(diagram, s, list_colorings=True,
+                                            cap=4)
+        assert report.colorings == tuple(
+            (0,) * 1498 + tail for tail in ((0, 0), (0, 1), (0, 2), (1, 0)))
+        assert report.truncated
+    # a star idempotent only at 0 fixes each kink's arc: 1500 seeds, one
+    # value each, deeper than the interpreter's recursion limit
+    star = OpTable(((0, 0, 0), (2, 2, 2), (1, 1, 1)))
+    report = count_colorings_bruteforce(kinks, Singquandle(star, star, star),
+                                        list_colorings=True)
+    assert report.count == 1
+    assert report.colorings == ((0,) * 1500,)
+    path = tmp_path / "kinks.diagram"
+    path.write_text(serialize_diagram(kinks))
+    assert main(["color", str(path), "--alexander", "3", "1", "0"]) == 0
+    assert capsys.readouterr().out == f"count {3 ** 1500}\n"

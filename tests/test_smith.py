@@ -6,75 +6,48 @@ from math import gcd
 
 import pytest
 
-from singquandles import kernel_count_mod, kernel_vectors_mod, smith_normal_form
-from helpers import int_det, mat_mul
+from singquandles import kernel_count_mod, kernel_vectors_mod
+
+# n = 1, primes, prime powers and composites
+MODULI = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 
 
-def check_snf(matrix):
-    """Assert the normal-form contract and return the diagonal."""
-    diag, u, v = smith_normal_form(matrix)
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    assert len(diag) == min(m, n)
-    # U and V are unimodular
-    assert int_det(u) in (1, -1)
-    assert int_det(v) in (1, -1)
-    # U*A*V is the diagonal matrix of diag
-    d = mat_mul(mat_mul(u, [list(r) for r in matrix]), v)
-    for i in range(m):
-        for j in range(n):
-            want = diag[i] if i == j and i < len(diag) else 0
-            assert d[i][j] == want
-    # nonnegative entries, divisibility chain, zeros trailing
-    for i, x in enumerate(diag):
-        assert x >= 0
-        if i + 1 < len(diag):
-            nxt = diag[i + 1]
-            assert x != 0 or nxt == 0
-            if x:
-                assert nxt % x == 0
-    return diag
+def kernel_oracle(matrix, ncols, n):
+    """Every c in Z_n^ncols with matrix @ c == 0 (mod n), sorted."""
+    return [c for c in product(range(n), repeat=ncols)
+            if all(sum(a * x for a, x in zip(row, c)) % n == 0
+                   for row in matrix)]
 
 
-def test_known_forms():
-    assert check_snf([[2, 4], [6, 8]]) == [2, 4]
-    assert check_snf([[1, 0], [0, 1]]) == [1, 1]
-    assert check_snf([[0, 0], [0, 0]]) == [0, 0]
-    assert check_snf([[6]]) == [6]
-    assert check_snf([[-6]]) == [6]
-    assert check_snf([[2, 0], [0, 3]]) == [1, 6]
-    assert check_snf([[3, 0], [0, 6]]) == [3, 6]
-    assert check_snf([[2, 3]]) == [1]
-    assert check_snf([[4], [6]]) == [2]
-
-
-def test_rectangular_and_random():
-    rng = random.Random(20240817)
-    for _ in range(200):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 4)
-        matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        check_snf(matrix)
+def random_matrix(rng, nrows, ncols, n):
+    matrix = [[rng.randint(-15, 15) for _ in range(ncols)]
+              for _ in range(nrows)]
+    for row in matrix:
+        roll = rng.random()
+        if roll < 0.15:
+            row[:] = [0] * ncols
+        elif roll < 0.3:
+            # nonzero over Z, zero mod n
+            row[:] = [n * rng.randint(-3, 3) for _ in range(ncols)]
+        elif roll < 0.45:
+            # a multiple of a divisor of n, so pivots need not be units
+            d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            row[:] = [d * x for x in row]
+    return matrix
 
 
 def test_kernel_count_matches_enumeration():
+    # square, wide and tall matrices, zero rows and negative entries, so
+    # that counts and listings are checked beyond the shapes of diagrams
     rng = random.Random(4177)
-    for _ in range(60):
-        m = rng.randint(1, 3)
-        ncols = rng.randint(1, 3)
-        n = rng.randint(1, 6)
-        matrix = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(m)]
-        brute = sum(
-            1 for c in product(range(n), repeat=ncols)
-            if all(sum(row[j] * c[j] for j in range(ncols)) % n == 0
-                   for row in matrix))
-        assert kernel_count_mod(matrix, ncols, n) == brute
-        vectors = kernel_vectors_mod(matrix, ncols, n)
-        assert len(vectors) == brute
-        assert sorted(vectors) == sorted(
-            c for c in product(range(n), repeat=ncols)
-            if all(sum(row[j] * c[j] for j in range(ncols)) % n == 0
-                   for row in matrix))
+    for n in MODULI:
+        for nrows in range(6):
+            for ncols in range(1, 5):
+                for _ in range(3):
+                    matrix = random_matrix(rng, nrows, ncols, n)
+                    want = kernel_oracle(matrix, ncols, n)
+                    assert kernel_count_mod(matrix, ncols, n) == len(want)
+                    assert sorted(kernel_vectors_mod(matrix, ncols, n)) == want
 
 
 def test_kernel_edge_cases():
