@@ -76,11 +76,11 @@ def find_params(n: int) -> list[AlexanderParams]:
     if n < 1:
         raise ValueError("modulus n must be >= 1")
     found = []
-    for t in range(n):
-        for b in range(n):
-            if all(residue(n, t, b) == 0 for _, residue in _CONGRUENCES):
-                found.append(AlexanderParams(n, t, b))
-    return found
+    for b in range(n):
+        t = (1 - b) ** 2 % n        # the third congruence fixes t given b
+        if all(residue(n, t, b) == 0 for _, residue in _CONGRUENCES):
+            found.append((t, b))
+    return [AlexanderParams(n, t, b) for t, b in sorted(found)]
 
 
 def build_tables(p: AlexanderParams) -> Singquandle:

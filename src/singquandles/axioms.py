@@ -1,10 +1,13 @@
 """Axiom checking for quandle tables and singquandle triples.
 
 Every axiom is an equation evaluated over tuples of colors; an axiom holds
-when lhs == rhs at every tuple.  Reports carry, per axiom, the
-lexicographically first failing tuple (scanning the first coordinate
-outermost) together with the two sides evaluated there, so a failure can be
-reproduced with :func:`evaluate_axiom`.
+when lhs == rhs at every tuple.  Each axiom is written once, as a generator
+of (lhs, rhs) over one range per coordinate, first coordinate outermost.
+The checker runs it once over the full ranges under all(starmap(eq, ...));
+only an axiom that fails is walked again beside the tuples, to report the
+lexicographically first failing tuple together with the two sides evaluated
+there.  :func:`evaluate_axiom` runs the same generator on one-point ranges,
+so a failure can be reproduced with it.
 
 The full VERIFIED predicate for a triple (star, r1, r2):
 
@@ -19,7 +22,8 @@ The full VERIFIED predicate for a triple (star, r1, r2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, starmap
+from operator import eq
 
 from .tables import OpTable, Singquandle
 
@@ -54,28 +58,27 @@ class AxiomReport:
         return iter(self.results)
 
 
-# --- evaluators: each returns (lhs, rhs); the axiom holds at args iff lhs == rhs
+# --- evaluators: each takes one range per coordinate and yields (lhs, rhs)
+# at every tuple of those ranges, first coordinate outermost; the axiom holds
+# at a tuple iff lhs == rhs there
 
 
-def _idempotent(t, args):
-    (x,) = args
-    return t[x][x], x
+def _idempotent(t, xs):
+    return ((t[x][x], x) for x in xs)
 
 
-def _right_bijective(t, args):
+def _right_bijective(t, xs, ys, zs):
     # injectivity of each right translation, as a biconditional
-    x, y, z = args
-    return x == y, t[x][z] == t[y][z]
+    return ((x == y, t[x][z] == t[y][z]) for x in xs for y in ys for z in zs)
 
 
-def _self_distributive(t, args):
-    x, y, z = args
-    return t[t[x][y]][z], t[t[x][z]][t[y][z]]
+def _self_distributive(t, xs, ys, zs):
+    return ((t[t[x][y]][z], t[t[x][z]][t[y][z]])
+            for x in xs for y in ys for z in zs)
 
 
-def _involutive(t, args):
-    x, y = args
-    return t[t[x][y]][y], x
+def _involutive(t, xs, ys):
+    return ((t[t[x][y]][y], x) for x in xs for y in ys)
 
 
 TABLE_AXIOMS = {
@@ -86,64 +89,59 @@ TABLE_AXIOMS = {
 }
 
 
-def _rot_x_via_r1(s, args):
-    x, y = args
-    return s.r1.rows[y][s.r2.rows[x][y]], x
-
-
-def _rot_x_via_r2(s, args):
-    x, y = args
+def _rot_x_via_r1(s, xs, ys):
     r1, r2 = s.r1.rows, s.r2.rows
-    return r2[r2[x][y]][r1[x][y]], x
+    return ((r1[y][r2[x][y]], x) for x in xs for y in ys)
 
 
-def _rot_y_via_r2(s, args):
-    x, y = args
-    return s.r2.rows[s.r1.rows[x][y]][x], y
-
-
-def _rot_y_via_r1(s, args):
-    x, y = args
+def _rot_x_via_r2(s, xs, ys):
     r1, r2 = s.r1.rows, s.r2.rows
-    return r1[r2[x][y]][r1[x][y]], y
+    return ((r2[r2[x][y]][r1[x][y]], x) for x in xs for y in ys)
 
 
-def _rot_outputs(s, args):
-    x, y = args
+def _rot_y_via_r2(s, xs, ys):
     r1, r2 = s.r1.rows, s.r2.rows
-    c, d = r1[x][y], r2[x][y]
-    return (c, d), (r2[y][d], r1[c][x])
+    return ((r2[r1[x][y]][x], y) for x in xs for y in ys)
 
 
-def _riva(s, args):
-    x, y, z = args
+def _rot_y_via_r1(s, xs, ys):
+    r1, r2 = s.r1.rows, s.r2.rows
+    return ((r1[r2[x][y]][r1[x][y]], y) for x in xs for y in ys)
+
+
+def _rot_outputs(s, xs, ys):
+    r1, r2 = s.r1.rows, s.r2.rows
+    return (((r1[x][y], r2[x][y]), (r2[y][r2[x][y]], r1[r1[x][y]][x]))
+            for x in xs for y in ys)
+
+
+def _riva(s, xs, ys, zs):
     star, r1, r2 = s.star.rows, s.r1.rows, s.r2.rows
-    return star[star[y][z]][r2[x][z]], star[star[y][x]][r1[x][z]]
+    return ((star[star[y][z]][r2[x][z]], star[star[y][x]][r1[x][z]])
+            for x in xs for y in ys for z in zs)
 
 
-def _rv_r1(s, args):
-    x, y = args
-    star = s.star.rows
-    return s.r1.rows[x][y], s.r2.rows[star[y][x]][x]
-
-
-def _rv_r2(s, args):
-    x, y = args
+def _rv_r1(s, xs, ys):
     star, r1, r2 = s.star.rows, s.r1.rows, s.r2.rows
-    u = star[y][x]
-    return r2[x][y], star[r1[u][x]][r2[u][x]]
+    return ((r1[x][y], r2[star[y][x]][x]) for x in xs for y in ys)
 
 
-def _rivb_r1(s, args):
-    x, y, z = args
+def _rv_r2(s, xs, ys):
+    star, r1, r2 = s.star.rows, s.r1.rows, s.r2.rows
+    return ((r2[x][y], star[r1[star[y][x]][x]][r2[star[y][x]][x]])
+            for x in xs for y in ys)
+
+
+def _rivb_r1(s, xs, ys, zs):
     star, r1 = s.star.rows, s.r1.rows
-    return star[r1[star[x][y]][z]][y], r1[x][star[z][y]]
+    return ((star[r1[star[x][y]][z]][y], r1[x][star[z][y]])
+            for x in xs for y in ys for z in zs)
 
 
-def _rivb_r2(s, args):
-    x, y, z = args
+def _rivb_r2(s, xs, ys, zs):
     star, r2 = s.star.rows, s.r2.rows
-    return r2[star[x][y]][z], star[r2[x][star[z][y]]][y]
+    return ((r2[star[x][y]][z], star[r2[x][star[z][y]]][y])
+            for x in xs for y in ys for z in zs)
 
 
 ROTATION_AXIOMS = {
@@ -164,24 +162,29 @@ MOVE_AXIOMS = {
 
 
 def _scan(name: str, arity: int, evaluate, target, n: int) -> AxiomResult:
-    for args in product(range(n), repeat=arity):
-        lhs, rhs = evaluate(target, args)
+    ranges = (range(n),) * arity
+    if all(starmap(eq, evaluate(target, *ranges))):
+        return AxiomResult(name, True)
+    # only a failing axiom is walked again, to find its first witness
+    for args, (lhs, rhs) in zip(product(*ranges), evaluate(target, *ranges)):
         if lhs != rhs:
             return AxiomResult(name, False, args, lhs, rhs)
-    return AxiomResult(name, True)
 
 
 def evaluate_axiom(target, name: str, args: tuple[int, ...]):
     """Re-evaluate one axiom at a tuple; returns (lhs, rhs)."""
     if name in TABLE_AXIOMS:
-        table = target.star if isinstance(target, Singquandle) else target
-        return TABLE_AXIOMS[name][1](table.rows, args)
-    for registry in (ROTATION_AXIOMS, MOVE_AXIOMS):
-        if name in registry:
-            if not isinstance(target, Singquandle):
-                raise ValueError(f"axiom {name!r} needs a full singquandle")
-            return registry[name][1](target, args)
-    raise KeyError(name)
+        arity, evaluate = TABLE_AXIOMS[name]
+        target = (target.star if isinstance(target, Singquandle) else target).rows
+    elif name in ROTATION_AXIOMS or name in MOVE_AXIOMS:
+        if not isinstance(target, Singquandle):
+            raise ValueError(f"axiom {name!r} needs a full singquandle")
+        arity, evaluate = ROTATION_AXIOMS.get(name) or MOVE_AXIOMS[name]
+    else:
+        raise KeyError(name)
+    if len(args) != arity:
+        raise ValueError(f"axiom {name!r} takes {arity} coordinates, got {len(args)}")
+    return next(evaluate(target, *((a,) for a in args)))
 
 
 def check_quandle(table: OpTable) -> AxiomReport:

@@ -132,6 +132,9 @@ def cmd_fig8_system(ns) -> int:
 
 
 def cmd_distinguish(ns) -> int:
+    if ns.alexander_max_n < 2:
+        raise _UsageError(
+            f"--alexander-max-n must be at least 2, got {ns.alexander_max_n}")
     d1 = _load_diagram(ns.diagram1)
     d2 = _load_diagram(ns.diagram2)
     family = [p for n in range(2, ns.alexander_max_n + 1) for p in find_params(n)]

@@ -83,7 +83,7 @@ def involutive_quandle_tables_oracle(n: int) -> list:
             if check_quandle(t).all_hold and check_involutive(t).all_hold]
 
 
-def literal_census_count(n: int) -> int:
+def literal_census(n: int) -> list:
     """Filtration of every (star, r1, r2) triple through the full checker.
 
     n^(3n^2) candidates, so this is only usable for n <= 2.
@@ -91,27 +91,23 @@ def literal_census_count(n: int) -> int:
     if n > 2:
         raise ValueError("literal filtration is only tractable for n <= 2")
     tables = all_op_tables(n)
-    total = 0
-    for star in involutive_quandle_tables_oracle(n):
-        for r1 in tables:
-            for r2 in tables:
-                if check_all(Singquandle(star, r1, r2)).all_hold:
-                    total += 1
-    return total
+    return [s for star in involutive_quandle_tables_oracle(n)
+            for r1 in tables for r2 in tables
+            for s in (Singquandle(star, r1, r2),) if check_all(s).all_hold]
 
 
-def joined_census_count(n: int) -> int:
+def joined_census(n: int) -> list:
     """Filtration of every (star, r1, r2) pair, reorganized but still exact.
 
     One of the move axioms says r1(x, y) == r2(y*x, x) for all x, y; since
     y -> y*x is a bijection for fixed x, that axiom alone pins every entry
     of r2 once star and r1 are chosen.  So among all n^(n^2) candidate r2
     tables exactly one can survive per r1, and filtering the full cross
-    product equals checking that one candidate.  test_enumeration confirms
-    this equals the literal filtration where both are tractable.
+    product equals checking that one candidate.  The acceptance suite
+    confirms this equals the literal filtration where both are tractable.
     """
     tables = all_op_tables(n)
-    total = 0
+    found = []
     for star in involutive_quandle_tables_oracle(n):
         srows = star.rows
         for r1 in tables:
@@ -119,7 +115,54 @@ def joined_census_count(n: int) -> int:
             r2 = OpTable(tuple(
                 tuple(r1rows[b][srows[a][b]] for b in range(n))
                 for a in range(n)))
-            if check_all(Singquandle(star, r1, r2)).all_hold:
-                total += 1
-    return total
+            s = Singquandle(star, r1, r2)
+            if check_all(s).all_hold:
+                found.append(s)
+    return found
 
+
+# The 14 axioms, one instance at a time, written from their definitions:
+# name -> (arity, predicate(star, r1, r2, args)), each table a function of
+# two colors.  The order is the checker's report order.
+AXIOM_INSTANCES = {
+    "right-bijective": (3, lambda S, R1, R2, a:
+                        (a[0] == a[1]) == (S(a[0], a[2]) == S(a[1], a[2]))),
+    "self-distributive": (3, lambda S, R1, R2, a:
+                          S(S(a[0], a[1]), a[2])
+                          == S(S(a[0], a[2]), S(a[1], a[2]))),
+    "idempotent": (1, lambda S, R1, R2, a: S(a[0], a[0]) == a[0]),
+    "involutive": (2, lambda S, R1, R2, a: S(S(a[0], a[1]), a[1]) == a[0]),
+    "rotation-x-via-r1": (2, lambda S, R1, R2, a:
+                          R1(a[1], R2(a[0], a[1])) == a[0]),
+    "rotation-x-via-r2": (2, lambda S, R1, R2, a:
+                          R2(R2(a[0], a[1]), R1(a[0], a[1])) == a[0]),
+    "rotation-y-via-r2": (2, lambda S, R1, R2, a:
+                          R2(R1(a[0], a[1]), a[0]) == a[1]),
+    "rotation-y-via-r1": (2, lambda S, R1, R2, a:
+                          R1(R2(a[0], a[1]), R1(a[0], a[1])) == a[1]),
+    "rotation-outputs": (2, lambda S, R1, R2, a:
+                         R1(a[0], a[1]) == R2(a[1], R2(a[0], a[1]))
+                         and R2(a[0], a[1]) == R1(R1(a[0], a[1]), a[0])),
+    "riva": (3, lambda S, R1, R2, a:
+             S(S(a[1], a[2]), R2(a[0], a[2]))
+             == S(S(a[1], a[0]), R1(a[0], a[2]))),
+    "rv-r1": (2, lambda S, R1, R2, a:
+              R1(a[0], a[1]) == R2(S(a[1], a[0]), a[0])),
+    "rv-r2": (2, lambda S, R1, R2, a:
+              R2(a[0], a[1]) == S(R1(S(a[1], a[0]), a[0]),
+                                  R2(S(a[1], a[0]), a[0]))),
+    "rivb-r1": (3, lambda S, R1, R2, a:
+                S(R1(S(a[0], a[1]), a[2]), a[1])
+                == R1(a[0], S(a[2], a[1]))),
+    "rivb-r2": (3, lambda S, R1, R2, a:
+                R2(S(a[0], a[1]), a[2])
+                == S(R2(a[0], S(a[2], a[1])), a[1])),
+}
+
+
+def first_failing_instance(s, name):
+    """The lexicographically first tuple where the axiom fails, or None."""
+    arity, holds = AXIOM_INSTANCES[name]
+    S, R1, R2 = (t.apply for t in (s.star, s.r1, s.r2))
+    return next((args for args in product(range(s.order), repeat=arity)
+                 if not holds(S, R1, R2, args)), None)

@@ -40,7 +40,7 @@ from singquandles import (
     TangleWord,
 )
 from singquandles.cli import main as cli_main
-from helpers import joined_census_count, literal_census_count
+from helpers import joined_census, literal_census
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -194,10 +194,18 @@ def test_criterion_7_bundled_candidate_adjudication(capsys):
 
 def test_criterion_8_search_matches_naive_filtration():
     start = time.perf_counter()
-    assert enumerate_singquandles(1).count == literal_census_count(1)
-    literal2 = literal_census_count(2)
-    assert enumerate_singquandles(2).count == literal2
+
+    def listed(n):
+        return [s for star in involutive_quandles(n)
+                for s in singquandles_for_star(star)]
+
+    literal = {n: literal_census(n) for n in (1, 2)}
+    for n, structures in literal.items():
+        assert enumerate_singquandles(n).count == len(structures)
+        assert set(listed(n)) == set(structures)
     # the reorganized filtration equals the literal one where both run
-    assert joined_census_count(2) == literal2
-    assert enumerate_singquandles(3).count == joined_census_count(3)
+    assert set(joined_census(2)) == set(literal[2])
+    joined = joined_census(3)
+    assert enumerate_singquandles(3).count == len(joined)
+    assert set(listed(3)) == set(joined)
     _finish(8, "pruned search equals naive filtration", start, 300)

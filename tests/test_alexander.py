@@ -58,6 +58,18 @@ def test_find_params_sorted_and_valid():
         assert len(set(pairs)) == len(pairs)
 
 
+def test_find_params_matches_pair_loop():
+    # the loop find_params ran before it fixed t from b: every (t, b),
+    # ascending, tested against all three congruences
+    def pair_loop(n):
+        return [(t, b) for t in range(n) for b in range(n)
+                if (t * t - 1) % n == 0 and b * (1 + t) % n == 0
+                and (t - (1 - b) ** 2) % n == 0]
+
+    for n in range(1, 200):
+        assert [(p.t, p.b) for p in find_params(n)] == pair_loop(n), n
+
+
 def test_find_params_oracle_n5():
     # independent check of the n=5 set: build tables for all 25 residue
     # pairs directly from the formulas and run the full axiom checker

@@ -183,6 +183,18 @@ def test_distinguish(fig9_files, capsys):
     assert (code, out) == (1, "not separated\n")
 
 
+def test_distinguish_rejects_an_empty_family(fig9_files, capsys):
+    left, right = fig9_files
+    for bad in ("1", "0", "-3"):
+        code, out, err = run_cli(capsys, "distinguish", str(left), str(right),
+                                 "--alexander-max-n", bad)
+        assert (code, out) == (2, "")
+        assert "--alexander-max-n must be at least 2" in err
+    code, out, _ = run_cli(capsys, "distinguish", str(left), str(right),
+                           "--alexander-max-n", "2")
+    assert code == 0 and out.startswith("separated at (n=2,")
+
+
 def test_gen_named_diagrams(capsys):
     code, out, _ = run_cli(capsys, "gen", "fig9-left")
     assert (code, out) == (0, "arcs 4\nS 0 1 2 3\nS 2 3 0 1\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -55,6 +56,30 @@ def test_every_enumerated_structure_verifies():
         for star in involutive_quandles(n):
             for s in singquandles_for_star(star):
                 assert check_all(s).all_hold
+
+
+# sha256 over the stars of one order, in the order involutive_quandles lists
+# them: each star's rows, then every structure singquandles_for_star lists
+# for it, in its order.  Taken from the search as it was before it checked
+# forward; a faster search must list the same structures in the same order.
+CENSUS_DIGESTS = {
+    4: "143986b86ff4f37499a137ad58b47b5c9c54d301364b48a967d00e289c100f58",
+    5: "d82904787264433825b2496475e45e236f1ea6c8489612a7a6f7934c6c031697",
+}
+
+
+def census_digest(n: int) -> str:
+    h = hashlib.sha256()
+    for star in involutive_quandles(n):
+        h.update(repr(star.rows).encode())
+        for s in singquandles_for_star(star):
+            h.update(repr((s.star.rows, s.r1.rows, s.r2.rows)).encode())
+    return h.hexdigest()
+
+
+def test_census_lists_are_pinned():
+    for n, digest in CENSUS_DIGESTS.items():
+        assert census_digest(n) == digest, n
 
 
 def test_derive_r2():
@@ -122,6 +147,20 @@ def test_relabel_transports_operations():
         for y in range(5):
             assert moved.star.apply(perm[x], perm[y]) == perm[s.star.apply(x, y)]
             assert moved.r1.apply(perm[x], perm[y]) == perm[s.r1.apply(x, y)]
+
+
+def test_canonical_form_is_the_least_relabelling():
+    # the definition, relabelling by every permutation, as the reference
+    structures = [s for n in (2, 3, 4) for star in involutive_quandles(n)
+                  for s in singquandles_for_star(star)]
+    structures += [relabel(build_tables(p), (3, 1, 4, 0, 2)) for p in find_params(5)]
+    for s in structures:
+        moved = [relabel(s, perm) for perm in permutations(range(s.order))]
+        least = min(moved, key=flat)
+        assert canonical_form(s) == least
+        assert is_isomorphic(s, moved[-1]) and is_isomorphic(moved[-1], s)
+    reps = enumerate_singquandles(4, up_to_iso=True).structures
+    assert [is_isomorphic(reps[0], r) for r in reps] == [True] + [False] * (len(reps) - 1)
 
 
 def test_is_isomorphic_decided_by_permutation_oracle():
