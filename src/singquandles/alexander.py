@@ -11,14 +11,15 @@ define the tables
     r2(x, y)   = (1 - b)*x + b*y
 
 which pass the full checker for every valid parameter triple.  Residues are
-normalized into [0, n); t = -1 is stored as n - 1.
+normalized into [0, n); t = -1 is stored as n - 1.  The three coefficient
+pairs are read from :attr:`AlexanderParams.coefficients`, both by
+:func:`build_tables` and by the linear coloring counter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import AxiomReport, check_all
 from .tables import OpTable, Singquandle
 
 _CONGRUENCES = (
@@ -46,29 +47,11 @@ class AlexanderParams:
             if v != 0:
                 raise ValueError(f"{name} = {v} != 0 (mod {self.n}) for t={self.t}, b={self.b}")
 
-
-@dataclass(frozen=True)
-class LinearOps:
-    """Coefficient pairs (on x, on y) of the three operations, mod n."""
-
-    n: int
-    star: tuple[int, int]
-    r1: tuple[int, int]
-    r2: tuple[int, int]
-
-    @staticmethod
-    def from_params(p: AlexanderParams) -> "LinearOps":
-        n, t, b = p.n, p.t, p.b
-        return LinearOps(n,
-                         (t % n, (1 - t) % n),
-                         ((1 - t - b) % n, (t + b) % n),
-                         ((1 - b) % n, b % n))
-
-    def table(self, op: str) -> OpTable:
-        cx, cy = getattr(self, op)
-        n = self.n
-        return OpTable(tuple(
-            tuple((cx * x + cy * y) % n for y in range(n)) for x in range(n)))
+    @property
+    def coefficients(self) -> tuple:
+        """Coefficient pairs (on x, on y) of star, r1 and r2, mod n."""
+        n, t, b = self.n, self.t, self.b
+        return ((t, (1 - t) % n), ((1 - t - b) % n, (t + b) % n), ((1 - b) % n, b))
 
 
 def find_params(n: int) -> list[AlexanderParams]:
@@ -84,10 +67,8 @@ def find_params(n: int) -> list[AlexanderParams]:
 
 
 def build_tables(p: AlexanderParams) -> Singquandle:
-    ops = LinearOps.from_params(p)
-    return Singquandle(ops.table("star"), ops.table("r1"), ops.table("r2"))
-
-
-def verify_proposition(p: AlexanderParams) -> AxiomReport:
-    """Full axiom report for the tables built from p (expected all-pass)."""
-    return check_all(build_tables(p))
+    n = p.n
+    return Singquandle(*(
+        OpTable(tuple(tuple((cx * x + cy * y) % n for y in range(n))
+                      for x in range(n)))
+        for cx, cy in p.coefficients))

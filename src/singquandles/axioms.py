@@ -9,7 +9,9 @@ lexicographically first failing tuple together with the two sides evaluated
 there.  :func:`evaluate_axiom` runs the same generator on one-point ranges,
 so a failure can be reproduced with it.
 
-The full VERIFIED predicate for a triple (star, r1, r2):
+:func:`check_table` reports the four star-table axioms of one table, and
+:func:`check_all` the full VERIFIED predicate for a triple (star, r1, r2),
+all 14 axioms in this order:
 
 * star is a quandle (right translations bijective, right self-distributive,
   idempotent) and involutive;
@@ -22,7 +24,7 @@ The full VERIFIED predicate for a triple (star, r1, r2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, starmap
+from itertools import chain, product, starmap
 from operator import eq
 
 from .tables import OpTable, Singquandle
@@ -187,67 +189,16 @@ def evaluate_axiom(target, name: str, args: tuple[int, ...]):
     return next(evaluate(target, *((a,) for a in args)))
 
 
-def check_quandle(table: OpTable) -> AxiomReport:
-    rows = table.rows
-    names = ("right-bijective", "self-distributive", "idempotent")
-    return AxiomReport(tuple(
-        _scan(nm, TABLE_AXIOMS[nm][0], TABLE_AXIOMS[nm][1], rows, table.order)
-        for nm in names))
-
-
-def check_involutive(table: OpTable) -> AxiomReport:
-    arity, fn = TABLE_AXIOMS["involutive"]
-    return AxiomReport((_scan("involutive", arity, fn, table.rows, table.order),))
-
-
-def check_rotation_axioms(s: Singquandle) -> AxiomReport:
-    return AxiomReport(tuple(
-        _scan(nm, arity, fn, s, s.order) for nm, (arity, fn) in ROTATION_AXIOMS.items()))
-
-
-def check_singquandle_axioms(s: Singquandle) -> AxiomReport:
-    return AxiomReport(tuple(
-        _scan(nm, arity, fn, s, s.order) for nm, (arity, fn) in MOVE_AXIOMS.items()))
+def check_table(table: OpTable) -> AxiomReport:
+    """The four star-table axioms (quandle and involutive), in report order."""
+    rows, n = table.rows, table.order
+    return AxiomReport(tuple(_scan(nm, arity, fn, rows, n)
+                             for nm, (arity, fn) in TABLE_AXIOMS.items()))
 
 
 def check_all(s: Singquandle) -> AxiomReport:
     """All 14 axioms of the VERIFIED predicate, in report order."""
-    return AxiomReport(check_quandle(s.star).results
-                       + check_involutive(s.star).results
-                       + check_rotation_axioms(s).results
-                       + check_singquandle_axioms(s).results)
-
-
-def is_rack(table: OpTable) -> bool:
-    rows, n = table.rows, table.order
-    return (_scan("right-bijective", 3, _right_bijective, rows, n).holds
-            and _scan("self-distributive", 3, _self_distributive, rows, n).holds)
-
-
-def is_quandle(table: OpTable) -> bool:
-    return is_rack(table) and _scan("idempotent", 1, _idempotent, table.rows, table.order).holds
-
-
-def is_involutive(table: OpTable) -> bool:
-    return _scan("involutive", 2, _involutive, table.rows, table.order).holds
-
-
-def is_verified(s: Singquandle) -> bool:
-    return check_all(s).all_hold
-
-
-def is_connected(table: OpTable) -> bool:
-    """True iff the right translations generate a transitive action."""
-    if not is_quandle(table):
-        raise ValueError("connectivity is defined here for quandles only")
-    n = table.order
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for y in range(n):
-            v = table.rows[x][y]
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == n
+    n = s.order
+    return AxiomReport(check_table(s.star).results + tuple(
+        _scan(nm, arity, fn, s, n)
+        for nm, (arity, fn) in chain(ROTATION_AXIOMS.items(), MOVE_AXIOMS.items())))

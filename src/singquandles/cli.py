@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 1 check-failed or not-separated, 2 usage or parse
-error.  Reports go to stdout, diagnostics to stderr.
+error, or a result too large to build or print.  Reports go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import sys
 
 from .alexander import AlexanderParams, build_tables, find_params
-from .axioms import AxiomReport, check_all, check_involutive, check_quandle
+from .axioms import check_all, check_table
 from .coloring import (count_colorings_bruteforce, count_colorings_linear,
                        distinguish, fig8_system_count, serialize_report)
 from .diagrams import (DiagramParseError, gen_fig9_left, gen_fig9_right,
@@ -23,6 +24,20 @@ from .tangles import braid_closure, parse_word
 
 class _UsageError(Exception):
     pass
+
+
+def _decimal(count: int) -> str:
+    """count in decimal, refused past the interpreter's limit on int-to-str
+    conversion (4300 digits by default)."""
+    try:
+        return str(count)
+    except ValueError:
+        raise _UsageError("the count has too many digits to print") from None
+
+
+def _write_report(report) -> None:
+    _decimal(report.count)      # refused here, before anything is written
+    sys.stdout.write(serialize_report(report))
 
 
 def _read_file(path: str) -> str:
@@ -69,8 +84,7 @@ def cmd_check(ns) -> int:
         _print_axioms(report)
         print("verified" if report.all_hold else "not verified")
     else:
-        report = AxiomReport(check_quandle(obj).results
-                             + check_involutive(obj).results)
+        report = check_table(obj)
         _print_axioms(report)
         print("involutive quandle" if report.all_hold
               else "not an involutive quandle")
@@ -115,7 +129,7 @@ def cmd_color(ns) -> int:
                     "provide r1 and r2 blocks")
             obj = Singquandle(obj, obj, obj)
         report = count_colorings_bruteforce(diagram, obj, ns.list_colorings)
-    sys.stdout.write(serialize_report(report))
+    _write_report(report)
     if report.truncated:
         print("note: coloring list truncated", file=sys.stderr)
     return 0
@@ -127,7 +141,7 @@ def cmd_fig8_system(ns) -> int:
         report = fig8_system_count(ns.k, ns.side, p, ns.list_colorings)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    sys.stdout.write(serialize_report(report))
+    _write_report(report)
     return 0
 
 
@@ -142,7 +156,8 @@ def cmd_distinguish(ns) -> int:
     if verdict.separated:
         p = verdict.structure
         c1, c2 = verdict.counts
-        print(f"separated at (n={p.n}, t={p.t}, b={p.b}): counts {c1} vs {c2}")
+        print(f"separated at (n={p.n}, t={p.t}, b={p.b}): "
+              f"counts {_decimal(c1)} vs {_decimal(c2)}")
         return 0
     print("not separated")
     return 1
@@ -260,6 +275,9 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the result is too large", file=sys.stderr)
         return 2
 
 

@@ -14,7 +14,7 @@ from functools import cache
 from itertools import chain, combinations, islice, product
 from math import gcd
 
-from .alexander import AlexanderParams, LinearOps
+from .alexander import AlexanderParams
 from .diagrams import Classical, Singular, SingularDiagram
 from .smith import kernel_count_mod, kernel_vectors_mod
 from .tables import Singquandle
@@ -278,24 +278,19 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     return ColoringReport(count, BACKEND_BRUTE, listed, len(listed) < count)
 
 
-@dataclass(frozen=True)
-class ModularSystem:
-    """Homogeneous system A c == 0 (mod modulus), one column per arc."""
-
-    modulus: int
-    arcs: int
-    rows: tuple
-
-    @staticmethod
-    def from_diagram(diagram: SingularDiagram, ops: LinearOps) -> "ModularSystem":
-        rows = []
-        for cr in diagram.crossings:
-            if isinstance(cr, Classical):
-                rows.append(_constraint_row(diagram.arcs, ops.n, cr.c, cr.a, cr.b, ops.star))
-            else:
-                rows.append(_constraint_row(diagram.arcs, ops.n, cr.sw, cr.nw, cr.ne, ops.r1))
-                rows.append(_constraint_row(diagram.arcs, ops.n, cr.se, cr.nw, cr.ne, ops.r2))
-        return ModularSystem(ops.n, diagram.arcs, tuple(rows))
+def _congruence_rows(diagram: SingularDiagram, p: AlexanderParams) -> tuple:
+    """The rows of the homogeneous system A c == 0 (mod n), one column per
+    arc: one row per classical crossing, and one per output of a singular
+    crossing."""
+    star, r1, r2 = p.coefficients
+    rows = []
+    for cr in diagram.crossings:
+        if isinstance(cr, Classical):
+            rows.append(_constraint_row(diagram.arcs, p.n, cr.c, cr.a, cr.b, star))
+        else:
+            rows.append(_constraint_row(diagram.arcs, p.n, cr.sw, cr.nw, cr.ne, r1))
+            rows.append(_constraint_row(diagram.arcs, p.n, cr.se, cr.nw, cr.ne, r2))
+    return tuple(rows)
 
 
 def _constraint_row(arcs, n, out, in1, in2, coeffs):
@@ -306,24 +301,19 @@ def _constraint_row(arcs, n, out, in1, in2, coeffs):
     return tuple(x % n for x in row)
 
 
-def _as_ops(p) -> LinearOps:
-    return LinearOps.from_params(p) if isinstance(p, AlexanderParams) else p
-
-
-def count_colorings_linear(diagram: SingularDiagram, p,
+def count_colorings_linear(diagram: SingularDiagram, p: AlexanderParams,
                            list_colorings: bool = False,
                            cap: int = DEFAULT_LIST_CAP) -> ColoringReport:
     """Coloring count for a linear structure: the size of the kernel mod n
     of its congruence system, which is diagonalized modulo n."""
-    ops = _as_ops(p)
-    n = ops.n
-    system = ModularSystem.from_diagram(diagram, ops)
-    base = kernel_count_mod(system.rows, diagram.arcs, n)
+    n = p.n
+    rows = _congruence_rows(diagram, p)
+    base = kernel_count_mod(rows, diagram.arcs, n)
     count = base * n ** diagram.free
 
     colorings = None
     if list_colorings and base <= cap:
-        vectors = sorted(kernel_vectors_mod(system.rows, diagram.arcs, n))
+        vectors = sorted(kernel_vectors_mod(rows, diagram.arcs, n))
         tails = list(product(range(n), repeat=diagram.free))
         colorings = tuple(islice((v + t for v in vectors for t in tails), cap))
     truncated = list_colorings and (colorings is None or len(colorings) < count)
@@ -374,13 +364,19 @@ class Verdict:
 
 
 def _count_for(member, diagram: SingularDiagram) -> int:
-    if isinstance(member, (AlexanderParams, LinearOps)):
+    # count_colorings_linear is read as a module global on each call, so a
+    # wrapper put in its place (perfbench traces this way) is the one called
+    if isinstance(member, AlexanderParams):
         return count_colorings_linear(diagram, member).count
     return count_colorings_bruteforce(diagram, member).count
 
 
 def distinguish(d1: SingularDiagram, d2: SingularDiagram, family) -> Verdict:
-    """Scan the family in order; report the first member with differing counts."""
+    """Scan the family in order; report the first member with differing counts.
+
+    Members are AlexanderParams, counted by the linear backend, or
+    Singquandle tables, counted by brute force.
+    """
     for index, member in enumerate(family):
         c1 = _count_for(member, d1)
         c2 = _count_for(member, d2)

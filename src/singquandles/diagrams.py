@@ -77,10 +77,6 @@ class SingularDiagram:
     def singular_count(self):
         return sum(1 for c in self.crossings if isinstance(c, Singular))
 
-    @property
-    def classical_count(self):
-        return sum(1 for c in self.crossings if isinstance(c, Classical))
-
 
 def parse_diagram(text: str) -> SingularDiagram:
     arcs = None

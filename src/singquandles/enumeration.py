@@ -29,7 +29,6 @@ those steps would reject, so the structures and their order are unchanged.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
@@ -277,14 +276,12 @@ class Census:
     order: int
     count: int
     structures: tuple = None
-    elapsed: float = 0.0
 
 
 def enumerate_singquandles(n: int, up_to_iso: bool = False) -> Census:
     """Complete census of order-n structures; hard order limit MAX_ORDER."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")
-    start = time.perf_counter()
     count = 0
     canonical = {}
     for star in involutive_quandles(n):
@@ -297,7 +294,7 @@ def enumerate_singquandles(n: int, up_to_iso: bool = False) -> Census:
     structures = None
     if up_to_iso:
         structures = tuple(canonical[key] for key in sorted(canonical))
-    return Census(n, count, structures, time.perf_counter() - start)
+    return Census(n, count, structures)
 
 
 def _flat_key(s: Singquandle) -> tuple:

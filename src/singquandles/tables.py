@@ -64,9 +64,6 @@ class OpTable:
     def apply(self, x: int, y: int) -> int:
         return self.rows[x][y]
 
-    def column(self, y: int) -> tuple[int, ...]:
-        return tuple(row[y] for row in self.rows)
-
 
 def make_trivial_quandle(n: int) -> OpTable:
     """x op y = x."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .alexander import LinearOps
 from .diagrams import Classical, Singular, SingularDiagram
 from .tables import Singquandle
 
@@ -108,11 +107,6 @@ class TangleRelation:
         if len(self.outputs) != self.order ** self.strands:
             raise ValueError("output table has the wrong size")
 
-    @staticmethod
-    def identity(order: int, strands: int) -> "TangleRelation":
-        outs = tuple(product(range(order), repeat=strands))
-        return TangleRelation(order, strands, outs)
-
     def _flat(self, colors) -> int:
         idx = 0
         for c in colors:
@@ -121,33 +115,6 @@ class TangleRelation:
 
     def apply(self, colors) -> tuple:
         return self.outputs[self._flat(colors)]
-
-    def then(self, other: "TangleRelation") -> "TangleRelation":
-        """The relation of this word followed by other's word."""
-        if (self.order, self.strands) != (other.order, other.strands):
-            raise ValueError("relations act on different color sets")
-        return TangleRelation(
-            self.order, self.strands,
-            tuple(other.apply(out) for out in self.outputs))
-
-    def converse(self) -> "TangleRelation":
-        """Inverse map; raises if the word's map is not a bijection."""
-        seen = {}
-        for colors in product(range(self.order), repeat=self.strands):
-            out = self.outputs[self._flat(colors)]
-            if out in seen:
-                raise ValueError("relation is not injective, no converse")
-            seen[out] = colors
-        try:
-            outs = tuple(seen[colors]
-                         for colors in product(range(self.order), repeat=self.strands))
-        except KeyError:
-            raise ValueError("relation is not surjective, no converse") from None
-        return TangleRelation(self.order, self.strands, outs)
-
-    @property
-    def is_identity(self) -> bool:
-        return self == TangleRelation.identity(self.order, self.strands)
 
 
 def tangle_relation(word: TangleWord, s: Singquandle) -> TangleRelation:
@@ -168,37 +135,6 @@ def tangle_relation(word: TangleWord, s: Singquandle) -> TangleRelation:
                 cur[i], cur[i + 1] = y, star[x][y]
         outs.append(tuple(cur))
     return TangleRelation(n, word.strands, tuple(outs))
-
-
-def letter_matrix(letter: Letter, ops: LinearOps, strands: int):
-    """Matrix of the letter's action on color vectors over Z_n, mod n."""
-    if letter.index + 1 > strands:
-        raise ValueError(f"letter {letter} does not fit on {strands} strands")
-    n = ops.n
-    if letter.kind == KIND_SINGULAR:
-        block = (ops.r1, ops.r2)
-    elif letter.mirrored:
-        block = ((ops.star[1], ops.star[0]), (1, 0))
-    else:
-        block = ((0, 1), ops.star)
-    i = letter.index - 1
-    rows = [[1 if r == c else 0 for c in range(strands)] for r in range(strands)]
-    for dr in range(2):
-        for dc in range(2):
-            rows[i + dr][i + dc] = block[dr][dc] % n
-    return rows
-
-
-def word_matrix(word: TangleWord, ops: LinearOps):
-    """Composite matrix of the whole word, last letter leftmost."""
-    n = ops.n
-    k = word.strands
-    acc = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
-    for letter in word.letters:
-        m = letter_matrix(letter, ops, k)
-        acc = [[sum(m[r][j] * acc[j][c] for j in range(k)) % n for c in range(k)]
-               for r in range(k)]
-    return acc
 
 
 def braid_closure(word: TangleWord) -> SingularDiagram:

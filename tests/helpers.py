@@ -16,8 +16,7 @@ from singquandles import (
     OpTable,
     Singquandle,
     check_all,
-    check_involutive,
-    check_quandle,
+    check_table,
 )
 
 
@@ -80,7 +79,7 @@ def all_op_tables(n: int) -> list:
 def involutive_quandle_tables_oracle(n: int) -> list:
     """Filter every order-n table through the quandle + involutive checks."""
     return [t for t in all_op_tables(n)
-            if check_quandle(t).all_hold and check_involutive(t).all_hold]
+            if check_table(t).all_hold]
 
 
 def literal_census(n: int) -> list:
@@ -166,3 +165,23 @@ def first_failing_instance(s, name):
     S, R1, R2 = (t.apply for t in (s.star, s.r1, s.r2))
     return next((args for args in product(range(s.order), repeat=arity)
                  if not holds(S, R1, R2, args)), None)
+
+
+def rank_mod_p(matrix, ncols, p):
+    """Rank of the matrix over the field Z_p, p prime, by plain Gaussian
+    elimination."""
+    rows = [[x % p for x in row] for row in matrix]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank

@@ -36,7 +36,6 @@ from singquandles import (
     singquandles_for_star,
     tangle_relation,
     tau,
-    verify_proposition,
     TangleWord,
 )
 from singquandles.cli import main as cli_main
@@ -58,7 +57,7 @@ def test_criterion_1_full_checker_on_all_linear_structures():
     checked = 0
     for n in range(2, 13):
         for p in find_params(n):
-            assert verify_proposition(p).all_hold, (n, p.t, p.b)
+            assert check_all(build_tables(p)).all_hold, (n, p.t, p.b)
             checked += 1
     assert checked >= 11
     _finish(1, "linear family passes the full checker", start, 5)

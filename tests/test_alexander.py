@@ -4,13 +4,11 @@ import pytest
 
 from singquandles import (
     AlexanderParams,
-    LinearOps,
     OpTable,
     Singquandle,
     build_tables,
     check_all,
     find_params,
-    verify_proposition,
 )
 
 
@@ -94,22 +92,23 @@ def test_build_tables_rows():
 
 
 def test_linear_ops_coefficients():
-    ops = LinearOps.from_params(AlexanderParams(5, 4, 3))
-    assert ops.star == (4, 2)
-    assert ops.r1 == (4, 2)
-    assert ops.r2 == (3, 3)
-    assert ops.table("star") == build_tables(AlexanderParams(5, 4, 3)).star
+    p = AlexanderParams(5, 4, 3)
+    assert p.coefficients == ((4, 2), (4, 2), (3, 3))
+    assert AlexanderParams(10, -1, 4).coefficients == ((9, 2), (8, 3), (7, 4))
+    s = build_tables(p)
+    for (cx, cy), table in zip(p.coefficients, (s.star, s.r1, s.r2)):
+        assert table == linear_table(5, cx, cy)
 
 
 def test_verify_proposition_passes_for_all_params():
     for n in range(1, 13):
         for p in find_params(n):
-            assert verify_proposition(p).all_hold
+            assert check_all(build_tables(p)).all_hold
 
 
 def test_ten_nine_four_is_valid():
     p = AlexanderParams(10, 9, 4)
-    assert verify_proposition(p).all_hold
     s = build_tables(p)
+    assert check_all(s).all_hold
     assert s.order == 10
     assert s.star.apply(0, 1) == 2  # t*0 + (1-t)*1 = -8 = 2 mod 10

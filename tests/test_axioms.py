@@ -9,16 +9,8 @@ from singquandles import (
     OpTable,
     Singquandle,
     check_all,
-    check_involutive,
-    check_quandle,
-    check_rotation_axioms,
-    check_singquandle_axioms,
+    check_table,
     evaluate_axiom,
-    is_connected,
-    is_involutive,
-    is_quandle,
-    is_rack,
-    is_verified,
     make_dihedral_quandle,
     make_trivial_quandle,
     parse_tables,
@@ -50,6 +42,7 @@ def test_axiom_registries():
 def test_report_order_and_all_hold(alex543):
     report = check_all(alex543)
     assert tuple(r.axiom for r in report) == FULL_ORDER
+    assert check_table(alex543.star).results == report.results[:4]
     assert report.all_hold
     assert report.failures() == ()
     assert report.result("riva").holds
@@ -71,7 +64,7 @@ def test_quandle_axioms_hand_instances():
 def test_right_bijective_is_a_biconditional():
     # x != y with x*z == y*z must fail, not just injectivity on equal pairs
     t = OpTable(((0, 0), (0, 1)))
-    result = check_quandle(t).result("right-bijective")
+    result = check_table(t).result("right-bijective")
     assert not result.holds
     assert result.witness == (0, 1, 0)
     assert result.lhs is False and result.rhs is True
@@ -81,9 +74,9 @@ def test_involutive_failure_witness():
     # x*y = 2x + 4y mod 5 is a quandle operation that is not involutive
     t = OpTable(tuple(tuple((2 * x + 4 * y) % 5 for y in range(5))
                       for x in range(5)))
-    report = check_involutive(t)
-    assert not report.all_hold
-    assert report.results[0].witness == (0, 1)
+    report = check_table(t)
+    assert [r.axiom for r in report.failures()] == ["involutive"]
+    assert report.result("involutive").witness == (0, 1)
     lhs, rhs = evaluate_axiom(t, "involutive", (0, 1))
     assert (lhs, rhs) == ((2 * ((2 * 0 + 4 * 1) % 5) + 4 * 1) % 5, 0)
 
@@ -91,36 +84,25 @@ def test_involutive_failure_witness():
 def test_witness_is_lexicographically_first():
     # break idempotence at 1 and 2; the scan must report 1
     t = OpTable(((0, 0, 0), (2, 2, 2), (1, 1, 1)))
-    result = check_quandle(t).result("idempotent")
+    result = check_table(t).result("idempotent")
     assert result.witness == (1,)
 
 
 def test_predicates_on_quandles():
-    for n in (1, 2, 3, 5):
-        assert is_quandle(make_trivial_quandle(n))
-        assert is_involutive(make_trivial_quandle(n))
-        assert is_quandle(make_dihedral_quandle(n))
-        assert is_involutive(make_dihedral_quandle(n))
-    assert is_rack(make_dihedral_quandle(4))
-    assert not is_quandle(OpTable(((1, 1), (0, 0))))
-
-
-def test_connectivity():
-    # the reflection quandle on Z_n is connected exactly for odd n
-    assert not is_connected(make_trivial_quandle(2))
-    assert is_connected(make_trivial_quandle(1))
-    assert is_connected(make_dihedral_quandle(3))
-    assert not is_connected(make_dihedral_quandle(4))
-    assert is_connected(make_dihedral_quandle(5))
-    with pytest.raises(ValueError):
-        is_connected(OpTable(((1, 1), (0, 0))))
+    for n in (1, 2, 3, 4, 5):
+        assert check_table(make_trivial_quandle(n)).all_hold
+        assert check_table(make_dihedral_quandle(n)).all_hold
+    # swapping the two colors is a rack (and involutive), but not idempotent
+    report = check_table(OpTable(((1, 1), (0, 0))))
+    assert [r.axiom for r in report.failures()] == ["idempotent"]
 
 
 def test_rotation_axioms_hold_for_linear_family(alex543, alex1094):
     for s in (alex543, alex1094):
-        assert check_rotation_axioms(s).all_hold
-        assert check_singquandle_axioms(s).all_hold
-        assert is_verified(s)
+        report = check_all(s)
+        assert all(report.result(name).holds
+                   for name in (*ROTATION_AXIOMS, *MOVE_AXIOMS))
+        assert report.all_hold
 
 
 def test_rotation_axiom_hand_instance(alex543):
@@ -156,8 +138,7 @@ def test_five_element_candidate_fails_riva(data_dir):
     s = parse_tables((data_dir / "five_element_candidate.tables").read_text(),
                      one_indexed=True)
     assert isinstance(s, Singquandle)
-    assert check_quandle(s.star).all_hold
-    assert check_involutive(s.star).all_hold
+    assert check_table(s.star).all_hold
     report = check_all(s)
     assert not report.all_hold
     # the star table is fine; the rotation identities and three of the five

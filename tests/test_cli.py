@@ -21,6 +21,12 @@ from singquandles import (
 )
 from singquandles.cli import main
 
+# 3^9100 has 4,342 decimal digits, past the interpreter's default limit of
+# 4,300 on int-to-str conversion (Python 3.11, 3.10.7 and later)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT < 4342, reason="this interpreter prints 3^9100 in full")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -155,6 +161,48 @@ def test_color_truncation_note(fig9_files, capsys, monkeypatch):
     assert code == 0
     assert "truncated" in err
     assert out.startswith("count 20\n")
+
+
+def assert_one_line_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@needs_digit_limit
+def test_color_count_too_long_to_print_exits_2(tmp_path, capsys):
+    arcs = tmp_path / "arcs.diagram"
+    arcs.write_text("arcs 9100\n")
+    free = tmp_path / "free.diagram"
+    free.write_text("arcs 0\nfree 9100\n")
+    for path in (arcs, free):
+        for backend in ("brute", "linear"):
+            got = run_cli(capsys, "color", str(path), "--alexander", "3", "1",
+                          "0", "--backend", backend)
+            assert_one_line_error(*got)
+            assert "too many digits" in got[2]
+
+
+@needs_digit_limit
+def test_distinguish_counts_too_long_to_print_exit_2(tmp_path, capsys):
+    # 2^15000 and 2^15001 differ under (2, 1, 0), and have over 4,500 digits
+    d1 = tmp_path / "one.diagram"
+    d1.write_text("arcs 15000\n")
+    d2 = tmp_path / "two.diagram"
+    d2.write_text("arcs 15001\n")
+    got = run_cli(capsys, "distinguish", str(d1), str(d2))
+    assert_one_line_error(*got)
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    import singquandles.cli as cli_module
+
+    def exhausted(word):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "braid_closure", exhausted)
+    got = run_cli(capsys, "gen", "braid", "2000000000")
+    assert_one_line_error(*got)
+    assert "memory" in got[2]
 
 
 def test_fig8_system(capsys):

@@ -12,8 +12,6 @@ from singquandles import (
     AlexanderParams,
     Classical,
     ColoringReport,
-    LinearOps,
-    ModularSystem,
     Singular,
     SingularDiagram,
     Verdict,
@@ -40,6 +38,7 @@ from singquandles import (
     tangle_relation,
     tau,
 )
+from singquandles.coloring import _congruence_rows
 from singquandles.cli import main
 from helpers import color_count_oracle, color_set_oracle
 
@@ -207,13 +206,10 @@ def test_empty_diagram(alex543):
 
 
 def test_modular_system_rows():
-    p = AlexanderParams(5, 4, 3)
-    system = ModularSystem.from_diagram(gen_fig9_left(), LinearOps.from_params(p))
-    assert system.modulus == 5
-    assert system.arcs == 4
+    rows = _congruence_rows(gen_fig9_left(), AlexanderParams(5, 4, 3))
     # each singular crossing contributes sw - r1x*nw - r1y*ne == 0 and
     # se - r2x*nw - r2y*ne == 0; r1 = (4, 2), r2 = (3, 3) mod 5
-    assert system.rows == (
+    assert rows == (
         (1, 3, 1, 0),
         (2, 2, 0, 1),
         (1, 0, 1, 3),

