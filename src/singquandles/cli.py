@@ -9,17 +9,25 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .alexander import AlexanderParams, build_tables, find_params
 from .axioms import check_all, check_table
-from .coloring import (count_colorings_bruteforce, count_colorings_linear,
-                       distinguish, fig8_system_count, serialize_report)
+from .coloring import (DEFAULT_LIST_CAP, count_colorings_bruteforce,
+                       count_colorings_linear, distinguish, fig8_system_count,
+                       serialize_report)
 from .diagrams import (DiagramParseError, gen_fig9_left, gen_fig9_right,
                        parse_diagram, serialize_diagram)
 from .enumeration import MAX_ORDER, enumerate_singquandles, serialize_census
 from .tables import (OpTable, Singquandle, TableParseError, parse_tables,
                      serialize_tables)
 from .tangles import braid_closure, parse_word
+
+
+# the most colors a listing may hold: up to DEFAULT_LIST_CAP colorings of
+# ten colors each, about 140 MB of tuples; a wider diagram is counted
+# first, and its listing refused if the colorings kept would pass this
+_LIST_ENTRIES = 10 ** 7
 
 
 class _UsageError(Exception):
@@ -112,10 +120,9 @@ def cmd_color(ns) -> int:
     if ns.alexander is not None:
         p = _params(ns.alexander)
         if ns.backend == "linear":
-            report = count_colorings_linear(diagram, p, ns.list_colorings)
+            count = partial(count_colorings_linear, diagram, p)
         else:
-            report = count_colorings_bruteforce(
-                diagram, build_tables(p), ns.list_colorings)
+            count = partial(count_colorings_bruteforce, diagram, build_tables(p))
     else:
         if ns.tables is None:
             raise _UsageError("need a tables file or --alexander n t b")
@@ -128,7 +135,14 @@ def cmd_color(ns) -> int:
                     "bare quandle tables cannot color singular crossings; "
                     "provide r1 and r2 blocks")
             obj = Singquandle(obj, obj, obj)
-        report = count_colorings_bruteforce(diagram, obj, ns.list_colorings)
+        count = partial(count_colorings_bruteforce, diagram, obj)
+    width = diagram.arcs + diagram.free
+    if ns.list_colorings and width * DEFAULT_LIST_CAP > _LIST_ENTRIES:
+        listed = min(count(False).count, DEFAULT_LIST_CAP)
+        if listed * width > _LIST_ENTRIES:
+            raise _UsageError(f"a listing of {listed} colorings of {width} "
+                              f"colors each is too large to build")
+    report = count(ns.list_colorings)
     _write_report(report)
     if report.truncated:
         print("note: coloring list truncated", file=sys.stderr)

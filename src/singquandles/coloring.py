@@ -16,7 +16,7 @@ from math import gcd
 
 from .alexander import AlexanderParams
 from .diagrams import Classical, Singular, SingularDiagram
-from .smith import kernel_count_mod, kernel_vectors_mod
+from .smith import _kernel, _sparse_row
 from .tables import Singquandle
 
 BACKEND_BRUTE = "brute-force"
@@ -278,27 +278,22 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     return ColoringReport(count, BACKEND_BRUTE, listed, len(listed) < count)
 
 
-def _congruence_rows(diagram: SingularDiagram, p: AlexanderParams) -> tuple:
-    """The rows of the homogeneous system A c == 0 (mod n), one column per
-    arc: one row per classical crossing, and one per output of a singular
-    crossing."""
+def _congruence_rows(diagram: SingularDiagram, p: AlexanderParams) -> list:
+    """The sparse rows {arc: residue} of the homogeneous system A c == 0
+    (mod n): one row per classical crossing, out - x * in1 - y * in2, and
+    one per output of a singular crossing.  An arc met twice in one
+    crossing, as in a kink, gets the sum of its coefficients."""
+    n = p.n
     star, r1, r2 = p.coefficients
     rows = []
     for cr in diagram.crossings:
         if isinstance(cr, Classical):
-            rows.append(_constraint_row(diagram.arcs, p.n, cr.c, cr.a, cr.b, star))
+            rows.append(_sparse_row(
+                ((cr.c, 1), (cr.a, -star[0]), (cr.b, -star[1])), n))
         else:
-            rows.append(_constraint_row(diagram.arcs, p.n, cr.sw, cr.nw, cr.ne, r1))
-            rows.append(_constraint_row(diagram.arcs, p.n, cr.se, cr.nw, cr.ne, r2))
-    return tuple(rows)
-
-
-def _constraint_row(arcs, n, out, in1, in2, coeffs):
-    row = [0] * arcs
-    row[out] += 1
-    row[in1] -= coeffs[0]
-    row[in2] -= coeffs[1]
-    return tuple(x % n for x in row)
+            for out, (x, y) in ((cr.sw, r1), (cr.se, r2)):
+                rows.append(_sparse_row(((out, 1), (cr.nw, -x), (cr.ne, -y)), n))
+    return rows
 
 
 def count_colorings_linear(diagram: SingularDiagram, p: AlexanderParams,
@@ -307,15 +302,14 @@ def count_colorings_linear(diagram: SingularDiagram, p: AlexanderParams,
     """Coloring count for a linear structure: the size of the kernel mod n
     of its congruence system, which is diagonalized modulo n."""
     n = p.n
-    rows = _congruence_rows(diagram, p)
-    base = kernel_count_mod(rows, diagram.arcs, n)
+    base, vectors = _kernel(_congruence_rows(diagram, p), diagram.arcs, n,
+                            list_colorings)
     count = base * n ** diagram.free
 
     colorings = None
     if list_colorings and base <= cap:
-        vectors = sorted(kernel_vectors_mod(rows, diagram.arcs, n))
         tails = list(product(range(n), repeat=diagram.free))
-        colorings = tuple(islice((v + t for v in vectors for t in tails), cap))
+        colorings = tuple(islice((v + t for v in sorted(vectors) for t in tails), cap))
     truncated = list_colorings and (colorings is None or len(colorings) < count)
     return ColoringReport(count, BACKEND_LINEAR, colorings, truncated)
 

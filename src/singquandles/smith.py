@@ -1,79 +1,154 @@
 """Kernels of integer matrices modulo n.
 
-Row operations invertible mod n keep the solutions of A c == 0 (mod n),
-and column operations A -> A V turn them into c = V y.  _diagonalize
-applies both until A is diagonal mod n, with d_j on column j (0 where no
-pivot fell).  Then there are prod(gcd(d_j, n)) solutions: c = V y mod n,
-where y_j runs over the multiples of n // gcd(d_j, n).
+A system is a list of sparse rows {column: residue}, each residue nonzero
+and taken in (-n/2, n/2].  Row operations invertible mod n keep the
+solutions of A c == 0 (mod n), and column operations A -> A V turn them
+into c = V y.  _diagonalize applies both until each row left holds one
+entry d_j, on a column j of its own; a column that holds no such entry
+has d_j = 0.  Then there are prod(gcd(d_j, n)) solutions: c = V y mod n,
+where y_j runs over the multiples of n // gcd(d_j, n).  V is kept only
+when the solutions are listed.
+
+The elimination's cost follows the nonzero entries: a column index maps
+each column to the rows that hold it, so clearing a column visits only
+those rows.
 """
 
+from collections import defaultdict
 from itertools import product
 from math import gcd, prod
 
 
-def _subtract(dst: dict, src: dict, q: int, n: int) -> None:
-    """dst -= q * src mod n, on sparse vectors {index: nonzero residue},
-    each residue taken in (-n/2, n/2]."""
+def _sparse_row(terms, n: int) -> dict:
+    """The sparse row of (column, coefficient) terms mod n: coefficients
+    of one column add up, and a column whose sum is 0 mod n is left out."""
+    row = {}
+    for k, x in terms:
+        row[k] = row.get(k, 0) + x
+    return {k: y - n if 2 * y > n else y for k, x in row.items() if (y := x % n)}
+
+
+def _sparse(matrix, n: int) -> list:
+    """The sparse rows of a dense matrix."""
+    if n < 1:
+        raise ValueError("modulus must be >= 1")
+    return [_sparse_row(enumerate(entries), n) for entries in matrix]
+
+
+def _subtract(rows: list, h: int, src: dict, q: int, n: int, index: dict) -> None:
+    """rows[h] -= q * src mod n, and the column index follows its fill-in
+    and cancellation."""
+    dst = rows[h]
+    for k, x in src.items():
+        old = dst.get(k, 0)
+        y = (old - q * x) % n
+        if y:
+            dst[k] = y - n if 2 * y > n else y
+            if not old:
+                index[k].add(h)
+        elif old:
+            del dst[k]
+            index[k].remove(h)
+
+
+def _combine(dst: dict, src: dict, q: int, n: int) -> None:
+    """dst -= q * src mod n, on sparse columns of V."""
     for k, x in src.items():
         y = (dst.get(k, 0) - q * x) % n
         if y:
-            dst[k] = y - n if 2 * y > n else y
+            dst[k] = y
         else:
             dst.pop(k, None)
 
 
-def _diagonalize(matrix, ncols: int, n: int):
-    """Return (diag, v): column j's diagonal entry and column j of V.
+def _least(row: dict, columns) -> int:
+    """The column of the row's entry of least absolute value."""
+    return min(columns, key=lambda k: abs(row[k]))
 
-    Each round pivots on the nonzero entry p of least absolute value and
-    clears its column by row operations.  Then its row is cleared by column
-    operations, which, with p alone in its column, change only that row and
-    V.  A nonzero remainder is smaller than p, so the rounds end.
+
+def _diagonalize(rows: list, n: int, v: list | None = None) -> dict:
+    """Diagonalize the sparse rows in place; return {j: d_j} for the
+    columns with a nonzero d_j.  v, if given, holds the columns of V as
+    sparse vectors, and takes the column operations too.
+
+    A pass starts at the first row left, on its entry p of least absolute
+    value, in column j.  The other rows that hold column j are reduced by
+    the pivot row; a remainder left in column j is smaller than p, and the
+    least one is the next pivot.  Once p is alone in its column, its row is
+    cleared by column operations, which change only that row and V; a
+    remainder left there is smaller than p too, and the next pivot.  Once p
+    is alone in its row as well, d_j = p and the pass ends.  Pivots shrink
+    within a pass, so each pass ends, and each takes one row out.
     """
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    rows = [{} for _ in matrix]
-    for row, entries in zip(rows, matrix):
-        _subtract(row, dict(enumerate(entries)), -1, n)
-    v = [{j: 1} for j in range(ncols)]
-    diag = [0] * ncols
-    while rows := [row for row in rows if row]:
-        best = (n, 0, 0)
-        for i, row in enumerate(rows):
-            for j, x in row.items():
-                if abs(x) < best[0]:
-                    best = (abs(x), i, j)
-            if best[0] == 1:
-                break
-        _, i, j = best
-        pivot = rows[i]
-        p = pivot[j]
-        for row in rows:
-            if row is not pivot and j in row:
-                _subtract(row, pivot, row[j] // p, n)
-        if any(j in row for row in rows if row is not pivot):
-            continue
-        for k in [k for k in pivot if k != j]:
-            _subtract(v[k], v[j], pivot[k] // p, n)
-            _subtract(pivot, {k: p}, pivot[k] // p, n)
-        if len(pivot) == 1:
-            diag[j] = pivot.pop(j)
-    return diag, v
+    index = defaultdict(set)
+    for h, row in enumerate(rows):
+        for k in row:
+            index[k].add(h)
+    diag = {}
+    for start, row in enumerate(rows):
+        while row:
+            i, j = start, _least(row, row)
+            while True:
+                p = row[j]
+                left = None
+                for h in list(index[j]):
+                    if h != i:
+                        other = rows[h]
+                        _subtract(rows, h, row, other[j] // p, n, index)
+                        if j in other and (left is None
+                                           or abs(other[j]) < abs(rows[left][j])):
+                            left = h
+                if left is not None:
+                    i, row = left, rows[left]
+                    continue
+                for k in [k for k in row if k != j]:
+                    q, x = divmod(row[k], p)
+                    if v is not None and q:
+                        _combine(v[k], v[j], q, n)
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
+                        index[k].remove(i)
+                if len(row) == 1:
+                    diag[j] = row.pop(j)
+                    index[j].remove(i)
+                    break
+                j = _least(row, (k for k in row if k != j))
+            row = rows[start]
+    return diag
+
+
+def _kernel(rows: list, ncols: int, n: int, listing: bool):
+    """(count, vectors): the number of solutions mod n of the sparse rows,
+    which are consumed, and, when listing, an iterator over the solutions,
+    unsorted; otherwise None."""
+    v = [{j: 1} for j in range(ncols)] if listing else None
+    diag = _diagonalize(rows, n, v)
+    count = n ** (ncols - len(diag)) * prod(gcd(d, n) for d in diag.values())
+    return count, _vectors(diag, v, ncols, n) if listing else None
+
+
+def _vectors(diag: dict, v: list, ncols: int, n: int):
+    """c = V y mod n for each y, over the columns with gcd(d_j, n) > 1: y_j
+    is 0 on the others."""
+    free = [j for j in range(ncols) if gcd(diag.get(j, 0), n) > 1]
+    columns = [v[j] for j in free]
+    steps = (range(0, n, n // gcd(diag.get(j, 0), n)) for j in free)
+    for y in product(*steps):
+        c = [0] * ncols
+        for yj, column in zip(y, columns):
+            if yj:
+                for i, x in column.items():
+                    c[i] += x * yj
+        yield tuple(x % n for x in c)
 
 
 def kernel_count_mod(matrix, ncols: int, n: int) -> int:
     """Number of c in Z_n^ncols with matrix @ c == 0 (mod n)."""
-    return prod(gcd(d, n) for d in _diagonalize(matrix, ncols, n)[0])
+    return _kernel(_sparse(matrix, n), ncols, n, False)[0]
 
 
 def kernel_vectors_mod(matrix, ncols: int, n: int):
     """All kernel vectors mod n, unsorted; use only when the count is small."""
-    diag, v = _diagonalize(matrix, ncols, n)
-    out = []
-    for y in product(*(range(0, n, n // gcd(d, n)) for d in diag)):
-        c = [0] * ncols
-        for yj, column in zip(y, v):
-            for i, x in column.items():
-                c[i] += x * yj
-        out.append(tuple(x % n for x in c))
-    return out
+    return list(_kernel(_sparse(matrix, n), ncols, n, True)[1])

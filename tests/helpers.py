@@ -12,9 +12,11 @@ from __future__ import annotations
 from itertools import product
 
 from singquandles import (
+    KIND_SINGULAR,
     Classical,
     OpTable,
     Singquandle,
+    SingularDiagram,
     check_all,
     check_table,
 )
@@ -185,3 +187,34 @@ def rank_mod_p(matrix, ncols, p):
                 rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def renumber(diagram, perm):
+    """The same diagram with arc x called perm[x]."""
+    return SingularDiagram(diagram.arcs, tuple(
+        type(cr)(*(perm[x] for x in cr.labels)) for cr in diagram.crossings),
+        diagram.free)
+
+
+def word_matrix(word, p):
+    """The word's k x k matrix over Z_n under the linear structure p, built
+    letter by letter from the coefficient pairs, last letter leftmost.
+
+    A letter on strands i and i + 1 acts on those two colors alone, so it
+    replaces rows i and i + 1 of the product by its 2 x 2 block times them.
+    """
+    (sx, sy), r1, r2 = p.coefficients
+    k = word.strands
+    acc = [[int(r == c) for c in range(k)] for r in range(k)]
+    for letter in word.letters:
+        if letter.kind == KIND_SINGULAR:
+            block = (r1, r2)
+        elif letter.mirrored:
+            block = ((sy, sx), (1, 0))
+        else:
+            block = ((0, 1), (sx, sy))
+        i = letter.index - 1
+        top, bottom = acc[i], acc[i + 1]
+        acc[i:i + 2] = [[(a * x + b * y) % p.n for x, y in zip(top, bottom)]
+                        for a, b in block]
+    return acc

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +168,50 @@ def test_color_truncation_note(fig9_files, capsys, monkeypatch):
 def assert_one_line_error(code, out, err):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# sha256 of `color fig9-left --alexander n t b --list`, the same on both
+# backends
+FIG9_LEFT_LISTINGS = {
+    (10, 9, 4): "d877a1f176beb528492edd736bada0a3bc4bb5241d6b4a28342eae55d8da9152",
+    (5, 4, 3): "dcbfaffbe0404f71f66303b13b48070679eae81dfca9de3cf717acccd1a326b3",
+    (8, 1, 4): "361dd8a5930f02fe0c83162d1ce2852d671499922d40f764c1e98e2f2bccea43",
+}
+
+
+def test_color_listing_is_pinned(fig9_files, capsys):
+    left, _ = fig9_files
+    for params, digest in FIG9_LEFT_LISTINGS.items():
+        for backend in ("brute", "linear"):
+            code, out, err = run_cli(capsys, "color", str(left), "--alexander",
+                                     *map(str, params), "--backend", backend,
+                                     "--list")
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_color_list_too_large_exits_2(tmp_path, capsys):
+    # 10^6 colorings of 9,100 colors each would be some 73 GB; the count
+    # alone is taken, and the listing refused before it is built
+    wide = tmp_path / "wide.diagram"
+    wide.write_text("arcs 9100\n")
+    # a wide diagram with few colorings is still listed: arcs 1..19 follow
+    # from arcs 0 and 1, so 9 colorings of 20 colors each
+    chain = tmp_path / "chain.diagram"
+    chain.write_text("arcs 20\n" + "".join(f"X {i} 0 {i + 1}\n" for i in range(1, 19)))
+    for backend in ("brute", "linear"):
+        start = time.perf_counter()
+        got = run_cli(capsys, "color", str(wide), "--alexander", "3", "1", "0",
+                      "--backend", backend, "--list")
+        assert time.perf_counter() - start < 5
+        assert_one_line_error(*got)
+        assert "too large" in got[2]
+        code, out, err = run_cli(capsys, "color", str(chain), "--alexander",
+                                 "3", "1", "0", "--backend", backend, "--list")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "count 9" and len(lines) == 10
+        assert all(len(line.split()) == 20 for line in lines[1:])
 
 
 @needs_digit_limit

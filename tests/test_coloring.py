@@ -40,7 +40,7 @@ from singquandles import (
 )
 from singquandles.coloring import _congruence_rows
 from singquandles.cli import main
-from helpers import color_count_oracle, color_set_oracle
+from helpers import color_count_oracle, color_set_oracle, renumber
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +97,6 @@ def assert_brute_matches_oracle(diagram, s):
         assert cut.count == len(want)
         assert list(cut.colorings) == want[:cap]
         assert cut.truncated == (cap < len(want))
-
-
-def renumber(diagram: SingularDiagram, perm) -> SingularDiagram:
-    """The same diagram with arc x called perm[x]."""
-    return SingularDiagram(diagram.arcs, tuple(
-        type(cr)(*(perm[x] for x in cr.labels)) for cr in diagram.crossings),
-        diagram.free)
 
 
 def test_report_serialization():
@@ -208,13 +201,44 @@ def test_empty_diagram(alex543):
 def test_modular_system_rows():
     rows = _congruence_rows(gen_fig9_left(), AlexanderParams(5, 4, 3))
     # each singular crossing contributes sw - r1x*nw - r1y*ne == 0 and
-    # se - r2x*nw - r2y*ne == 0; r1 = (4, 2), r2 = (3, 3) mod 5
-    assert rows == (
-        (1, 3, 1, 0),
-        (2, 2, 0, 1),
-        (1, 0, 1, 3),
-        (0, 1, 2, 2),
-    )
+    # se - r2x*nw - r2y*ne == 0; r1 = (4, 2), r2 = (3, 3) mod 5, each
+    # residue taken in (-5/2, 5/2] and zeros left out
+    assert rows == [
+        {0: 1, 1: -2, 2: 1},
+        {0: 2, 1: 2, 3: 1},
+        {0: 1, 2: 1, 3: -2},
+        {1: 1, 2: 2, 3: 2},
+    ]
+
+
+def test_congruence_rows_merge_an_arc_met_twice(alex543):
+    p = AlexanderParams(5, 4, 3)
+    # star = 4x + 2y: X 0 1 0 gives c - 4a - 2b with c = a, so -3a - 2b
+    out_is_in = SingularDiagram(2, (Classical(0, 1, 0),))
+    assert _congruence_rows(out_is_in, p) == [{0: 2, 1: -2}]
+    # in a kink the coefficients sum to 1 - 4 - 2 == 0 mod 5, and for r1
+    # and r2 to 1 - (1 - t - b) - (t + b) == 0: the rows are empty
+    kinks = SingularDiagram(2, (Classical(0, 0, 0), Singular(1, 1, 1, 1)))
+    assert _congruence_rows(kinks, p) == [{}, {}, {}]
+    both = SingularDiagram(3, (Classical(0, 1, 0), Classical(2, 2, 2),
+                               Singular(0, 2, 0, 2)))
+    for diagram in (out_is_in, kinks, both):
+        report = count_colorings_linear(diagram, p, list_colorings=True)
+        assert report.count == color_count_oracle(diagram, alex543)
+        assert list(report.colorings) == color_set_oracle(diagram, alex543)
+
+
+def test_linear_counter_with_modulus_one_and_no_crossings():
+    one = AlexanderParams(1, 0, 0)
+    assert _congruence_rows(gen_fig9_left(), one) == [{}] * 4
+    report = count_colorings_linear(gen_fig9_left(), one, list_colorings=True)
+    assert (report.count, report.colorings) == (1, ((0, 0, 0, 0),))
+    bare = SingularDiagram(2, (), free=1)
+    p = AlexanderParams(3, 1, 0)
+    assert _congruence_rows(bare, p) == []
+    report = count_colorings_linear(bare, p, list_colorings=True)
+    assert report.count == 27
+    assert list(report.colorings) == list(product(range(3), repeat=3))
 
 
 def test_fig8_system_counts():

@@ -21,6 +21,7 @@ from singquandles import (
     tangle_relation,
     tau,
 )
+from helpers import word_matrix
 
 
 def test_letter_basics():
@@ -64,28 +65,6 @@ def test_tau_relation_values(alex543):
     assert rel.apply((0, 1)) == (1, 2)
     rel = tangle_relation(TangleWord((sigma(1, mirrored=True),), 2), alex543)
     assert rel.apply((0, 1)) == (4, 0)
-
-
-def word_matrix(word, p):
-    """The word's k x k matrix over Z_n under the linear structure p, built
-    letter by letter from the coefficient pairs, last letter leftmost."""
-    (sx, sy), r1, r2 = p.coefficients
-    k = word.strands
-    acc = [[int(r == c) for c in range(k)] for r in range(k)]
-    for letter in word.letters:
-        if letter.kind == KIND_SINGULAR:
-            block = (r1, r2)
-        elif letter.mirrored:
-            block = ((sy, sx), (1, 0))
-        else:
-            block = ((0, 1), (sx, sy))
-        m = [[int(r == c) for c in range(k)] for r in range(k)]
-        i = letter.index - 1
-        for dr in range(2):
-            m[i + dr][i:i + 2] = block[dr]
-        acc = [[sum(m[r][j] * acc[j][c] for j in range(k)) % p.n
-                for c in range(k)] for r in range(k)]
-    return acc
 
 
 def test_word_matrix_agrees_with_relation():
