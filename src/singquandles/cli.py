@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
+from math import log10
 
 from .alexander import AlexanderParams, build_tables, find_params
 from .axioms import check_all, check_table
@@ -24,14 +25,20 @@ from .tables import (OpTable, Singquandle, TableParseError, parse_tables,
 from .tangles import braid_closure, parse_word
 
 
-# the most colors a listing may hold: up to DEFAULT_LIST_CAP colorings of
-# ten colors each, about 140 MB of tuples; a wider diagram is counted
-# first, and its listing refused if the colorings kept would pass this
+# the most entries a command may build or try: colors in a listing, table
+# entries, residues searched, arcs the brute-force counter walks.  Up to
+# DEFAULT_LIST_CAP colorings of ten colors each is about 140 MB of tuples;
+# a wider diagram is counted first, and its listing refused if the
+# colorings kept would pass this
 _LIST_ENTRIES = 10 ** 7
 
 
 class _UsageError(Exception):
     pass
+
+
+def _too_many_digits() -> _UsageError:
+    return _UsageError("the count has too many digits to print")
 
 
 def _decimal(count: int) -> str:
@@ -40,7 +47,29 @@ def _decimal(count: int) -> str:
     try:
         return str(count)
     except ValueError:
-        raise _UsageError("the count has too many digits to print") from None
+        raise _too_many_digits() from None
+
+
+def _count_too_long(diagram, n: int) -> bool:
+    """Whether the diagram's count under a structure of order n would pass
+    the interpreter's limit on int-to-str conversion, if it sets one, known
+    before counting: each arc that no crossing touches and each free circle
+    multiplies the count by n, so the count is at least n^m for m of them."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    touched = {x for cr in diagram.crossings for x in cr.labels}
+    m = diagram.arcs - len(touched) + diagram.free
+    return bool(limit) and n > 1 and m >= limit / log10(n)
+
+
+def _refuse_past_bound(entries: int, message: str) -> None:
+    if entries > _LIST_ENTRIES:
+        raise _UsageError(message)
+
+
+def _tables(p: AlexanderParams):
+    _refuse_past_bound(3 * p.n * p.n,
+                       f"the tables of order {p.n} are too large to build")
+    return build_tables(p)
 
 
 def _write_report(report) -> None:
@@ -101,6 +130,7 @@ def cmd_check(ns) -> int:
 
 def cmd_alexander(ns) -> int:
     if ns.action == "find":
+        _refuse_past_bound(ns.n, f"a modulus of {ns.n} is too large to search")
         try:
             params = find_params(ns.n)
         except ValueError as exc:
@@ -109,7 +139,7 @@ def cmd_alexander(ns) -> int:
             print(f"{p.t} {p.b}")
         return 0
     p = _params((ns.n, ns.t, ns.b))
-    sys.stdout.write(serialize_tables(build_tables(p)))
+    sys.stdout.write(serialize_tables(_tables(p)))
     return 0
 
 
@@ -122,7 +152,8 @@ def cmd_color(ns) -> int:
         if ns.backend == "linear":
             count = partial(count_colorings_linear, diagram, p)
         else:
-            count = partial(count_colorings_bruteforce, diagram, build_tables(p))
+            count = partial(count_colorings_bruteforce, diagram, _tables(p))
+        order = p.n
     else:
         if ns.tables is None:
             raise _UsageError("need a tables file or --alexander n t b")
@@ -136,12 +167,22 @@ def cmd_color(ns) -> int:
                     "provide r1 and r2 blocks")
             obj = Singquandle(obj, obj, obj)
         count = partial(count_colorings_bruteforce, diagram, obj)
+        order = obj.order
+    # a count too long to print is not taken; its listing would pass the cap
+    too_long = _count_too_long(diagram, order)
+    if ns.backend == "brute" and not too_long:
+        _refuse_past_bound(diagram.arcs, f"{diagram.arcs} arcs are too many "
+                                         "for the brute-force backend")
     width = diagram.arcs + diagram.free
     if ns.list_colorings and width * DEFAULT_LIST_CAP > _LIST_ENTRIES:
-        listed = min(count(False).count, DEFAULT_LIST_CAP)
+        listed = DEFAULT_LIST_CAP
+        if not too_long:
+            listed = min(count(False).count, DEFAULT_LIST_CAP)
         if listed * width > _LIST_ENTRIES:
             raise _UsageError(f"a listing of {listed} colorings of {width} "
                               f"colors each is too large to build")
+    if too_long:
+        raise _too_many_digits()
     report = count(ns.list_colorings)
     _write_report(report)
     if report.truncated:
@@ -152,9 +193,14 @@ def cmd_color(ns) -> int:
 def cmd_fig8_system(ns) -> int:
     p = _params(ns.alexander)
     try:
-        report = fig8_system_count(ns.k, ns.side, p, ns.list_colorings)
+        report = fig8_system_count(ns.k, ns.side, p)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    if ns.list_colorings:
+        _refuse_past_bound(2 * report.count,
+                           f"a listing of {_decimal(report.count)} pairs is too "
+                           "large to build")
+        report = fig8_system_count(ns.k, ns.side, p, True)
     _write_report(report)
     return 0
 
@@ -163,8 +209,14 @@ def cmd_distinguish(ns) -> int:
     if ns.alexander_max_n < 2:
         raise _UsageError(
             f"--alexander-max-n must be at least 2, got {ns.alexander_max_n}")
+    # find_params tries n residues for each modulus n
+    _refuse_past_bound(ns.alexander_max_n * (ns.alexander_max_n + 1) // 2 - 1,
+                       f"--alexander-max-n {ns.alexander_max_n} gives too "
+                       "large a family to scan")
     d1 = _load_diagram(ns.diagram1)
     d2 = _load_diagram(ns.diagram2)
+    if _count_too_long(d1, 2) or _count_too_long(d2, 2):   # n = 2 comes first
+        raise _too_many_digits()
     family = [p for n in range(2, ns.alexander_max_n + 1) for p in find_params(n)]
     verdict = distinguish(d1, d2, family)
     if verdict.separated:
@@ -292,6 +344,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("error: out of memory; the result is too large", file=sys.stderr)
+        return 2
+    except OverflowError:
+        print("error: a number is too large for this command", file=sys.stderr)
         return 2
 
 

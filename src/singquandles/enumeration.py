@@ -21,10 +21,12 @@ values each entry of row k may still take.  It uses the pair instances
 k: the pairs (k, y) and (x, k) with x, y < k, and the pairs x, y < k whose
 r1 or r2 is k, which force an entry outright.  Each row's candidates are
 indexed by bitmasks per (entry, value set), so dropping the rows that break
-one of these takes a few integer ANDs.  A row that is kept still has every
-axiom instance whose rows are now all placed checked, and every complete
-candidate still runs the full checker.  The check only drops rows that
-those steps would reject, so the structures and their order are unchanged.
+one of these takes a few integer ANDs.  A row that is kept is then checked
+against the rotation identities whose rows are now all placed.  The search
+prunes with nothing else: every complete candidate runs the full checker,
+which alone decides riva, rivb and the rest of rv-r2.  Each step drops only
+rows that the checker would reject, so the structures and their order are
+unchanged.
 """
 
 from __future__ import annotations
@@ -187,8 +189,8 @@ def singquandles_for_star(star: OpTable) -> list:
         return todo
 
     def consistent(k: int) -> bool:
-        # check every axiom instance whose involved rows are placed, row k
-        # among them; the rows placed are 0..k
+        # check every rotation instance whose involved rows are placed, row
+        # k among them; the rows placed are 0..k
         placed = range(k + 1)
         for x in placed:
             rx = rows[x]
@@ -207,46 +209,6 @@ def singquandles_for_star(star: OpTable) -> list:
                     # returning y via r1: y = r1(r2(x,y), r1(x,y))
                     # rotated outputs: r1(x,y) = r2(y, r2(x,y))
                     if ru[v] != y or ru[srows[y][u]] != v:
-                        return False
-                # relating r1, r2 across a classical pass:
-                # r2(x,y) = r1(y*x, x) * r2(y*x, x)
-                w = srows[y][x]
-                if w <= k and (top or w == k):
-                    if u != srows[rows[w][x]][rx[srows[w][x]]]:
-                        return False
-        # triple-instance families
-        for x in placed:
-            rx = rows[x]
-            for z in placed:
-                if x != k and z != k:
-                    continue
-                # (y*z) * r2(x,z) == (y*x) * r1(x,z) for all y
-                r2xz = rows[z][srows[x][z]]
-                r1xz = rx[z]
-                for y in range(n):
-                    if srows[srows[y][z]][r2xz] != srows[srows[y][x]][r1xz]:
-                        return False
-        for x in placed:
-            rx = rows[x]
-            for y in range(n):
-                w = srows[x][y]
-                if w > k or (x != k and w != k):
-                    continue
-                # r1(x*y, z) * y == r1(x, z*y) for all z
-                rw = rows[w]
-                for z in range(n):
-                    if srows[rw[z]][y] != rx[srows[z][y]]:
-                        return False
-        for z in placed:
-            rz = rows[z]
-            for y in range(n):
-                w = srows[z][y]
-                if w > k or (z != k and w != k):
-                    continue
-                # r2(x*y, z) == r2(x, z*y) * y for all x
-                rw = rows[w]
-                for x in range(n):
-                    if rz[srows[srows[x][y]][z]] != srows[rw[srows[x][w]]][y]:
                         return False
         return True
 

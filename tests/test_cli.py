@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from singquandles import (
     AlexanderParams,
@@ -239,6 +243,64 @@ def test_distinguish_counts_too_long_to_print_exit_2(tmp_path, capsys):
     assert_one_line_error(*got)
 
 
+HUGE = str(10 ** 20 - 1)
+
+
+def test_huge_numbers_are_refused_before_work(fig9_files, tmp_path, capsys):
+    left, right = fig9_files
+    for argv in (("gen", "braid", HUGE, "s1"),
+                 ("alexander", "tables", HUGE, "1", "0"),
+                 ("color", str(left), "--alexander", HUGE, "1", "0"),
+                 ("fig8-system", "1", "left", "--alexander", HUGE, "1", "0",
+                  "--list"),
+                 ("alexander", "find", HUGE),
+                 ("distinguish", str(left), str(right),
+                  "--alexander-max-n", HUGE)):
+        start = time.perf_counter()
+        got = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert_one_line_error(*got)
+        assert "too large" in got[2]
+    # counting needs no tables, and one free arc counts n
+    arc = tmp_path / "arc.diagram"
+    arc.write_text("arcs 1\n")
+    code, out, _ = run_cli(capsys, "color", str(arc), "--alexander", HUGE, "1",
+                           "0", "--backend", "linear")
+    assert (code, out) == (0, f"count {HUGE}\n")
+    code, out, _ = run_cli(capsys, "fig8-system", "1", "left", "--alexander",
+                           HUGE, "1", "0")
+    assert (code, out) == (0, f"count {HUGE}\n")
+
+
+@needs_digit_limit
+def test_huge_diagram_is_refused_before_counting(fig9_files, tmp_path, capsys):
+    left, _ = fig9_files
+    arcs = tmp_path / "arcs.diagram"
+    arcs.write_text(f"arcs {HUGE}\n")
+    free = tmp_path / "free.diagram"
+    free.write_text(f"arcs 1\nfree {HUGE}\n")
+    for path in (arcs, free):
+        for argv in (("color", str(path), "--alexander", "2", "1", "0"),
+                     ("color", str(path), "--alexander", "2", "1", "0",
+                      "--backend", "linear"),
+                     ("distinguish", str(path), str(left)),
+                     ("distinguish", str(left), str(path))):
+            start = time.perf_counter()
+            got = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 2
+            assert_one_line_error(*got)
+            assert "too many digits" in got[2]
+    # under n = 1 there is one coloring, printed; the brute-force counter
+    # refuses to walk that many arcs
+    for path, backend in ((arcs, "linear"), (free, "linear"), (free, "brute")):
+        code, out, _ = run_cli(capsys, "color", str(path), "--alexander", "1",
+                               "0", "0", "--backend", backend)
+        assert (code, out) == (0, "count 1\n")
+    got = run_cli(capsys, "color", str(arcs), "--alexander", "1", "0", "0")
+    assert_one_line_error(*got)
+    assert "brute-force" in got[2]
+
+
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     import singquandles.cli as cli_module
 
@@ -343,3 +405,72 @@ def test_python_dash_m_runs_the_cli():
                               timeout=60)
         assert done.returncode == 0, done.stderr
         assert "count 2" in done.stdout.splitlines()
+
+
+# every subcommand with its flags, over a few files and the integers at
+# the edges of what each command accepts; a token list is sometimes
+# shuffled, so that argparse sees misplaced arguments too
+FUZZ_INTS = st.sampled_from(
+    ("-1", "0", "1", "2", "3", "4", "10", str(10 ** 20)))
+FUZZ_FILES = ("fig9.diagram", "alex.tables", "malformed", "a-directory",
+              "missing")
+# valid (n, t, b) from those integers, so that counts are reached, or any
+# three of them
+FUZZ_PARAMS = st.sampled_from(
+    (("1", "0", "0"), ("2", "1", "0"), ("4", "1", "2"), ("10", "1", "0"),
+     (str(10 ** 20), "1", "0"))) | st.tuples(FUZZ_INTS, FUZZ_INTS, FUZZ_INTS)
+
+
+@st.composite
+def fuzz_argv(draw):
+    def flag(*tokens):
+        return list(tokens) if draw(st.booleans()) else []
+
+    # the valid files half the time
+    files = st.sampled_from(FUZZ_FILES[:2]) | st.sampled_from(FUZZ_FILES)
+    alexander = ["--alexander", *draw(FUZZ_PARAMS)]
+    command = draw(st.sampled_from(
+        ("check", "alexander", "color", "fig8-system", "distinguish", "gen",
+         "enumerate")))
+    if command == "check":
+        tail = [draw(files)] + flag("--one-indexed")
+    elif command == "alexander":
+        action = draw(st.sampled_from(("find", "tables")))
+        tail = [action] + ([draw(FUZZ_INTS)] if action == "find"
+                           else list(draw(FUZZ_PARAMS)))
+    elif command == "color":
+        tail = ([draw(files)] + flag(draw(files)) + flag(*alexander)
+                + flag("--backend", draw(st.sampled_from(("brute", "linear"))))
+                + flag("--list") + flag("--one-indexed"))
+    elif command == "fig8-system":
+        tail = ([draw(FUZZ_INTS), draw(st.sampled_from(("left", "right")))]
+                + alexander + flag("--list"))
+    elif command == "distinguish":
+        tail = ([draw(files), draw(files)]
+                + flag("--alexander-max-n", draw(FUZZ_INTS)))
+    elif command == "gen":
+        name = draw(st.sampled_from(
+            ("braid", "fig9-left", "fig9-right", "fig8-left", "nonsense")))
+        letters = st.sampled_from(("s1", "t1", "s2'", "t3", "s9", "q1"))
+        tail = ([name] + flag(draw(FUZZ_INTS))
+                + draw(st.lists(letters, max_size=4)))
+    else:
+        tail = [draw(FUZZ_INTS)] + flag("--up-to-iso")
+    if draw(st.integers(0, 3)) == 0:
+        tail = draw(st.permutations(tail))
+    return [command] + tail
+
+
+@settings(max_examples=500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_argv())
+@example(["gen", "braid", str(10 ** 20), "s1"])
+def test_cli_fuzz_exits_0_1_or_2(tmp_path, argv):
+    (tmp_path / "fig9.diagram").write_text(serialize_diagram(gen_fig9_left()))
+    (tmp_path / "alex.tables").write_text(
+        serialize_tables(build_tables(AlexanderParams(5, 4, 3))))
+    (tmp_path / "malformed").write_text("n 2\nstar\n0 1\n")
+    (tmp_path / "a-directory").mkdir(exist_ok=True)
+    argv = [str(tmp_path / a) if a in FUZZ_FILES else a for a in argv]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)
