@@ -58,10 +58,11 @@ def find_params(n: int) -> list[AlexanderParams]:
     """All valid (t, b) residue pairs mod n, ascending by (t, b)."""
     if n < 1:
         raise ValueError("modulus n must be >= 1")
+    (_, square), (_, product) = _CONGRUENCES[:2]
     found = []
     for b in range(n):
-        t = (1 - b) ** 2 % n        # the third congruence fixes t given b
-        if all(residue(n, t, b) == 0 for _, residue in _CONGRUENCES):
+        t = (1 - b) ** 2 % n        # so the third congruence holds
+        if square(n, t, b) == 0 and product(n, t, b) == 0:
             found.append((t, b))
     return [AlexanderParams(n, t, b) for t, b in sorted(found)]
 

@@ -22,7 +22,7 @@ from .diagrams import (DiagramParseError, gen_fig9_left, gen_fig9_right,
 from .enumeration import MAX_ORDER, enumerate_singquandles, serialize_census
 from .tables import (OpTable, Singquandle, TableParseError, parse_tables,
                      serialize_tables)
-from .tangles import braid_closure, parse_word
+from .tangles import KIND_SINGULAR, braid_closure, parse_word
 
 
 # the most entries a command may build or try: colors in a listing, table
@@ -246,6 +246,11 @@ def cmd_gen(ns) -> int:
             word = parse_word(" ".join(ns.args[1:]), strands=k)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
+        # the closure labels the k tops and each letter's new ends
+        labels = k + sum(2 if letter.kind == KIND_SINGULAR else 1
+                         for letter in word.letters)
+        _refuse_past_bound(labels, f"a closure of {labels} labels is too "
+                                   "large to build")
         diagram = braid_closure(word)
     elif name in ("fig8-left", "fig8-right"):
         raise _UsageError(

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from operator import itemgetter
 
 from .axioms import check_all
 from .tables import OpTable, Singquandle, serialize_tables
@@ -241,21 +240,25 @@ class Census:
 
 
 def enumerate_singquandles(n: int, up_to_iso: bool = False) -> Census:
-    """Complete census of order-n structures; hard order limit MAX_ORDER."""
+    """Complete census of order-n structures; hard order limit MAX_ORDER.
+
+    Up to isomorphism each class is relabelled once: its first structure
+    puts all the keys of its class in ``seen``, so the rest are skipped."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")
     count = 0
-    canonical = {}
+    seen = set()
+    least = []
     for star in involutive_quandles(n):
         for s in singquandles_for_star(star):
             count += 1
-            if up_to_iso:
-                perm, key = _least_relabelling(s)
-                if key not in canonical:
-                    canonical[key] = relabel(s, perm)
+            if up_to_iso and _flat_key(s) not in seen:
+                keys = {_relabelled(s, perm) for perm in permutations(range(n))}
+                seen |= keys
+                least.append(min(keys))
     structures = None
     if up_to_iso:
-        structures = tuple(canonical[key] for key in sorted(canonical))
+        structures = tuple(_structure(key, n) for key in sorted(least))
     return Census(n, count, structures)
 
 
@@ -263,53 +266,43 @@ def _flat_key(s: Singquandle) -> tuple:
     return (sum(s.star.rows, ()) + sum(s.r1.rows, ()) + sum(s.r2.rows, ()))
 
 
+def _structure(key: tuple, n: int) -> Singquandle:
+    """The structure whose flat key is ``key``."""
+    rows = [key[i:i + n] for i in range(0, 3 * n * n, n)]
+    return Singquandle(*(OpTable(tuple(rows[i:i + n])) for i in (0, n, 2 * n)))
+
+
+def _relabelled(s: Singquandle, perm) -> tuple:
+    """The flat key of s relabelled by perm, read off the tables of s.
+
+    The relabelled table holds perm[T[x][y]] at (perm[x], perm[y]), so its
+    row i is row inv[i] of T read at the columns inv."""
+    inv = sorted(range(s.order), key=perm.__getitem__)
+    rows = [t.rows[x] for t in (s.star, s.r1, s.r2) for x in inv]
+    return tuple([perm[r[y]] for r in rows for y in inv])
+
+
 def relabel(s: Singquandle, perm) -> Singquandle:
     """Transport all three tables along the permutation of labels."""
     n = s.order
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the label set")
-
-    def move(table: OpTable) -> OpTable:
-        rows = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                rows[perm[x]][perm[y]] = perm[table.rows[x][y]]
-        return OpTable(tuple(tuple(r) for r in rows))
-
-    return Singquandle(move(s.star), move(s.r1), move(s.r2))
-
-
-def _relabelled_keys(s: Singquandle):
-    """(perm, _flat_key(relabel(s, perm))) for every permutation, in the
-    order of permutations(); the keys are read off the tables of s, and no
-    relabelled structure is built."""
-    n = s.order
-    tables = (s.star.rows, s.r1.rows, s.r2.rows)
-    for perm in permutations(range(n)):
-        # the relabelled table holds perm[T[x][y]] at (perm[x], perm[y]), so
-        # its row i is row inv[i] of T read at the columns inv
-        inv = sorted(range(n), key=perm.__getitem__)
-        rows = [t[x] for t in tables for x in inv]
-        yield perm, tuple([perm[r[y]] for r in rows for y in inv])
-
-
-def _least_relabelling(s: Singquandle) -> tuple:
-    """The first permutation whose relabelling has the least flat key, and
-    that key."""
-    return min(_relabelled_keys(s), key=itemgetter(1))
+    return _structure(_relabelled(s, perm), n)
 
 
 def canonical_form(s: Singquandle) -> Singquandle:
     """Lexicographically least relabeling of the structure."""
-    return relabel(s, _least_relabelling(s)[0])
+    n = s.order
+    return _structure(min(_relabelled(s, perm)
+                          for perm in permutations(range(n))), n)
 
 
 def is_isomorphic(s1: Singquandle, s2: Singquandle) -> bool:
     """True iff some relabeling carries all three tables of s1 onto s2."""
     if s1.order != s2.order:
         raise ValueError("orders differ")
-    target = _flat_key(s2)
-    return any(key == target for _, key in _relabelled_keys(s1))
+    return _flat_key(s2) in (_relabelled(s1, perm)
+                             for perm in permutations(range(s1.order)))
 
 
 def serialize_census(census: Census) -> str:

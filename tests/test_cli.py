@@ -272,6 +272,24 @@ def test_huge_numbers_are_refused_before_work(fig9_files, tmp_path, capsys):
     assert (code, out) == (0, f"count {HUGE}\n")
 
 
+def test_long_braid_closure_is_refused_before_work(capsys):
+    # 10^7 + 1 tops and the letter's new end pass the 10^7 bound on labels
+    start = time.perf_counter()
+    got = run_cli(capsys, "gen", "braid", "10000001", "s1")
+    assert time.perf_counter() - start < 2
+    assert_one_line_error(*got)
+    assert "too large" in got[2]
+
+
+def test_alexander_find_at_the_bound_finishes(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "alexander", "find", "10000000")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    for line in out.splitlines():
+        AlexanderParams(10 ** 7, *map(int, line.split()))
+
+
 @needs_digit_limit
 def test_huge_diagram_is_refused_before_counting(fig9_files, tmp_path, capsys):
     left, _ = fig9_files
@@ -308,7 +326,7 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(cli_module, "braid_closure", exhausted)
-    got = run_cli(capsys, "gen", "braid", "2000000000")
+    got = run_cli(capsys, "gen", "braid", "2", "s1")
     assert_one_line_error(*got)
     assert "memory" in got[2]
 

@@ -5,6 +5,8 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singquandles import (
     BACKEND_BRUTE,
@@ -12,6 +14,7 @@ from singquandles import (
     AlexanderParams,
     Classical,
     ColoringReport,
+    Letter,
     Singular,
     SingularDiagram,
     Verdict,
@@ -33,6 +36,7 @@ from singquandles import (
     TangleWord,
     braid_closure,
     involutive_quandles,
+    move_word_pairs,
     sigma,
     singquandles_for_star,
     tangle_relation,
@@ -296,6 +300,33 @@ def test_closure_count_is_fixed_points_of_the_word(small_census):
         s = rng.choice(small_census)
         assert (count_colorings_bruteforce(braid_closure(word), s).count
                 == fixed_points(word, s))
+
+
+@st.composite
+def letters_on(draw, k):
+    return [tau(i) if kind == "t" else sigma(i, mirrored=kind == "s'")
+            for kind, i in draw(st.lists(st.tuples(
+                st.sampled_from(("s", "s'", "t")), st.integers(1, k - 1)),
+                max_size=4))]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_moves_inside_a_closure_keep_its_count(small_census, data):
+    # u A v and u B v close to diagrams that differ by the move A -> B
+    k = data.draw(st.integers(3, 5))
+    u, v = data.draw(letters_on(k)), data.draw(letters_on(k))
+    pairs = move_word_pairs()
+    a, b = pairs[data.draw(st.sampled_from(sorted(pairs)))]
+    offset = data.draw(st.integers(0, k - a.strands))
+    s = data.draw(st.sampled_from(small_census))
+    counts = []
+    for move in (a, b):
+        shifted = [Letter(x.kind, x.index + offset, x.mirrored)
+                   for x in move.letters]
+        closure = braid_closure(TangleWord(tuple(u + shifted + v), k))
+        counts.append(count_colorings_bruteforce(closure, s).count)
+    assert counts[0] == counts[1]
 
 
 def test_brute_matches_oracle_on_larger_random_diagrams(small_census):

@@ -137,13 +137,21 @@ def test_relabel_and_isomorphism():
 
 
 def test_relabel_transports_operations():
-    s = build_tables(AlexanderParams(5, 4, 3))
-    perm = (2, 0, 4, 1, 3)
-    moved = relabel(s, perm)
-    for x in range(5):
-        for y in range(5):
-            assert moved.star.apply(perm[x], perm[y]) == perm[s.star.apply(x, y)]
-            assert moved.r1.apply(perm[x], perm[y]) == perm[s.r1.apply(x, y)]
+    # relabel(s, perm) holds perm[T[x][y]] at (perm[x], perm[y]), for every
+    # table and every permutation
+    structures = [s for n in (1, 2, 3, 4) for star in involutive_quandles(n)
+                  for s in singquandles_for_star(star)]
+    structures += [build_tables(p) for p in find_params(5)]
+    for s in structures:
+        n = s.order
+        tables = (s.star.rows, s.r1.rows, s.r2.rows)
+        for perm in permutations(range(n)):
+            moved = relabel(s, perm)
+            for t, m in zip(tables, (moved.star.rows, moved.r1.rows,
+                                     moved.r2.rows)):
+                for x in range(n):
+                    for y in range(n):
+                        assert m[perm[x]][perm[y]] == perm[t[x][y]]
 
 
 def test_canonical_form_is_the_least_relabelling():
@@ -169,6 +177,19 @@ def test_is_isomorphic_decided_by_permutation_oracle():
     assert is_isomorphic(a, b) == oracle
     assert is_isomorphic(a, a)
     assert is_isomorphic(a, relabel(a, (4, 3, 2, 1, 0)))
+
+
+def test_orbit_stabilizer_sums_give_the_labelled_counts():
+    # each class of s holds n!/|Aut(s)| labelled structures
+    for n, labelled in zip(range(1, 6), (1, 2, 10, 198, 16392)):
+        census = enumerate_singquandles(n, up_to_iso=True)
+        perms = list(permutations(range(n)))
+        total = 0
+        for s in census.structures:
+            aut = sum(1 for perm in perms if relabel(s, perm) == s)
+            assert len(perms) % aut == 0
+            total += len(perms) // aut
+        assert total == census.count == labelled, n
 
 
 def test_order_one_census_is_forced():
