@@ -23,10 +23,17 @@ r1 or r2 is k, which force an entry outright.  Each row's candidates are
 indexed by bitmasks per (entry, value set), so dropping the rows that break
 one of these takes a few integer ANDs.  A row that is kept is then checked
 against the rotation identities whose rows are now all placed.  The search
-prunes with nothing else: every complete candidate runs the full checker,
-which alone decides riva, rivb and the rest of rv-r2.  Each step drops only
-rows that the checker would reject, so the structures and their order are
-unchanged.
+prunes with nothing else: the full checker alone decides riva, rivb and the
+rest of rv-r2.  Each step drops only rows that the checker would reject, so
+the structures and their order are unchanged.
+
+The checker runs once per orbit of Aut(star), the relabellings that fix the
+star table, on the first complete candidate met of the orbit.  Such a
+relabelling keeps the star, commutes with r2 = derive_r2(star, r1), and
+maps a structure that passes every axiom (each a universally quantified
+equation) to one that passes too.  So when a candidate passes, the keys of
+all its relabellings by Aut(star) go in a set, and a later candidate whose
+key is in the set is accepted without a second check.
 """
 
 from __future__ import annotations
@@ -127,6 +134,7 @@ def singquandles_for_star(star: OpTable) -> list:
             return []
         domains.append(roots)
     masks = [_value_masks(d, n) for d in domains]
+    index = [{g: i for i, g in enumerate(d)} for d in domains]
     every_value = (1 << n) - 1
     # left[a][u]: the set of c with a*c == u; under[y][z]: the x with x*y == z
     left = [[sum(1 << c for c in range(n) if srows[a][c] == u) for u in range(n)]
@@ -138,6 +146,11 @@ def singquandles_for_star(star: OpTable) -> list:
 
     rows = [None] * n
     found = []
+    # the keys of the relabellings by Aut(star) of verified candidates, not
+    # yet met; a key packs the indices of the rows of r1 in domains into
+    # one int.  Aut(star) is found at the first candidate that passes.
+    verified = set()
+    automorphisms = None
 
     def candidates(k: int) -> int:
         """The rows in domains[k], as a bitmask, that break none of the pair
@@ -211,24 +224,42 @@ def singquandles_for_star(star: OpTable) -> list:
                         return False
         return True
 
-    def place(k: int) -> None:
+    def place(k: int, key: int) -> None:
+        nonlocal automorphisms
         if k == n:
             r1 = OpTable(tuple(rows))
             candidate = Singquandle(star, r1, derive_r2(star, r1))
-            if check_all(candidate).all_hold:
+            if key in verified:
+                verified.remove(key)
                 found.append(candidate)
+            elif check_all(candidate).all_hold:
+                found.append(candidate)
+                if automorphisms is None:
+                    automorphisms = [g for g in perms if all(
+                        g[srows[x][y]] == srows[g[x]][g[y]]
+                        for x in range(n) for y in range(n))]
+                for g in automorphisms:
+                    moved = _relabelled(candidate, g)
+                    moved_key = 0
+                    for j in range(n):
+                        row = moved[(n + j) * n:(n + j + 1) * n]     # r1 row j
+                        moved_key = moved_key * len(domains[j]) + index[j][row]
+                    verified.add(moved_key)
+                verified.discard(key)
             return
         domain = domains[k]
         todo = candidates(k)
+        key *= len(domain)
         while todo:
             low = todo & -todo
             todo ^= low
-            rows[k] = domain[low.bit_length() - 1]
+            i = low.bit_length() - 1
+            rows[k] = domain[i]
             if consistent(k):
-                place(k + 1)
+                place(k + 1, key + i)
         rows[k] = None
 
-    place(0)
+    place(0, 0)
     return found
 
 

@@ -62,6 +62,9 @@ class OpTable:
         return len(self.rows)
 
     def apply(self, x: int, y: int) -> int:
+        n = len(self.rows)
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"colors ({x}, {y}) out of range [0, {n})")
         return self.rows[x][y]
 
 

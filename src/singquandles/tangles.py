@@ -107,14 +107,16 @@ class TangleRelation:
         if len(self.outputs) != self.order ** self.strands:
             raise ValueError("output table has the wrong size")
 
-    def _flat(self, colors) -> int:
+    def apply(self, colors) -> tuple:
+        colors = tuple(colors)
+        if len(colors) != self.strands:
+            raise ValueError(f"expected {self.strands} colors, got {len(colors)}")
         idx = 0
         for c in colors:
+            if not 0 <= c < self.order:
+                raise ValueError(f"color {c} out of range [0, {self.order})")
             idx = idx * self.order + c
-        return idx
-
-    def apply(self, colors) -> tuple:
-        return self.outputs[self._flat(colors)]
+        return self.outputs[idx]
 
 
 def tangle_relation(word: TangleWord, s: Singquandle) -> TangleRelation:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from itertools import permutations
 
 import pytest
@@ -24,11 +25,39 @@ from singquandles import (
     serialize_census,
     singquandles_for_star,
 )
+import singquandles.enumeration as enumeration
 from helpers import involutive_quandle_tables_oracle
 
 
 def flat(s: Singquandle) -> tuple:
     return sum(s.star.rows, ()) + sum(s.r1.rows, ()) + sum(s.r2.rows, ())
+
+
+def star_automorphisms(star: OpTable) -> list:
+    """The permutations g with g(x * y) = g(x) * g(y)."""
+    n = star.order
+    T = star.rows
+    return [g for g in permutations(range(n))
+            if all(g[T[x][y]] == T[g[x]][g[y]]
+                   for x in range(n) for y in range(n))]
+
+
+def moved_key(s: Singquandle, g) -> tuple:
+    """flat() of s relabelled by g: g(T[x][y]) stands at (g(x), g(y))."""
+    n = s.order
+    out = []
+    for T in (s.star.rows, s.r1.rows, s.r2.rows):
+        m = [[None] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                m[g[x]][g[y]] = g[T[x][y]]
+        out.append(tuple(map(tuple, m)))
+    return sum(out[0], ()) + sum(out[1], ()) + sum(out[2], ())
+
+
+@pytest.fixture(scope="module")
+def classes5():
+    return enumerate_singquandles(5, up_to_iso=True)
 
 
 def test_involutive_quandles_small_orders():
@@ -49,11 +78,60 @@ def test_involutive_quandles_match_table_filtration():
                 == sorted(t.rows for t in involutive_quandle_tables_oracle(n)))
 
 
-def test_every_enumerated_structure_verifies():
+def test_every_enumerated_structure_verifies(classes5):
     for n in (1, 2, 3, 4):
         for star in involutive_quandles(n):
             for s in singquandles_for_star(star):
                 assert check_all(s).all_hold
+    # order 5: the search checks one leaf per orbit of its star's
+    # automorphisms, so check a seeded sample of what it lists, and one
+    # member of every class
+    labelled = [s for star in involutive_quandles(5)
+                for s in singquandles_for_star(star)]
+    sample = random.Random(505).sample(labelled, 300)
+    assert len(classes5.structures) == 202
+    for s in sample + list(classes5.structures):
+        assert check_all(s).all_hold
+
+
+def test_census_is_closed_under_star_automorphisms():
+    for n in (1, 2, 3, 4):
+        for star in involutive_quandles(n):
+            got = singquandles_for_star(star)
+            keys = {flat(s) for s in got}
+            assert len(keys) == len(got)
+            for g in star_automorphisms(star):
+                assert all(moved_key(s, g) in keys for s in got)
+
+
+def test_check_all_runs_once_per_orbit(monkeypatch):
+    checked = []
+
+    def counting(s):
+        checked.append(flat(s))
+        return check_all(s)
+
+    monkeypatch.setattr(enumeration, "check_all", counting)
+    totals = []
+    for n in (1, 2, 3, 4):
+        total = 0
+        for star in involutive_quandles(n):
+            checked.clear()
+            got = singquandles_for_star(star)
+            aut = star_automorphisms(star)
+            orbit_of = {}
+            for s in got:
+                if flat(s) not in orbit_of:
+                    for g in aut:
+                        orbit_of[moved_key(s, g)] = flat(s)
+            orbits = set(orbit_of.values())
+            # one check per orbit, and every structure listed is a
+            # relabelling of a checked one
+            assert len(checked) == len(orbits)
+            assert {orbit_of[key] for key in checked} == orbits
+            total += len(checked)
+        totals.append(total)
+    assert totals == [1, 2, 4, 19]
 
 
 # sha256 over the stars of one order, in the order involutive_quandles lists
@@ -179,10 +257,11 @@ def test_is_isomorphic_decided_by_permutation_oracle():
     assert is_isomorphic(a, relabel(a, (4, 3, 2, 1, 0)))
 
 
-def test_orbit_stabilizer_sums_give_the_labelled_counts():
+def test_orbit_stabilizer_sums_give_the_labelled_counts(classes5):
     # each class of s holds n!/|Aut(s)| labelled structures
     for n, labelled in zip(range(1, 6), (1, 2, 10, 198, 16392)):
-        census = enumerate_singquandles(n, up_to_iso=True)
+        census = (classes5 if n == 5
+                  else enumerate_singquandles(n, up_to_iso=True))
         perms = list(permutations(range(n)))
         total = 0
         for s in census.structures:

@@ -31,6 +31,9 @@ def test_op_table_accessors():
     assert t.order == 2
     assert t.apply(0, 1) == 1
     assert OpTable.from_rows([[0, 1], [1, 0]]) == t
+    for x, y in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            t.apply(x, y)
 
 
 def test_trivial_quandle():

@@ -67,6 +67,14 @@ def test_tau_relation_values(alex543):
     assert rel.apply((0, 1)) == (4, 0)
 
 
+def test_relation_apply_rejects_bad_colors(alex543):
+    rel = tangle_relation(TangleWord((tau(1),), 2), alex543)
+    for colors in ((0,), (0, 1, 2), (0, 7), (0, 5), (1, -1), (-1, 0)):
+        with pytest.raises(ValueError):
+            rel.apply(colors)
+    assert rel.apply([0, 1]) == (2, 3)
+
+
 def test_word_matrix_agrees_with_relation():
     word = parse_word("t1 s1 s1 s1")
     assert word_matrix(word, AlexanderParams(5, 4, 3)) == [[1, 0], [0, 1]]
