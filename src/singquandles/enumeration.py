@@ -11,21 +11,20 @@ r1 row by row.  Two facts collapse the space:
 
 Both are consequences of the axioms (the first from the move axiom relating
 r1 and r2, the second from that plus the rotation axiom returning y), so
-restricting the search this way loses nothing.  The roots of row k that
-break the one axiom instance involving row k alone are dropped once per
-star.
+restricting the search this way loses nothing.
 
 Before row k is tried, a forward check works out from rows 0..k-1 which
-values each entry of row k may still take.  It uses the pair instances
-(rotations and the move axiom rv-r2) whose only unknown is one entry of row
-k: the pairs (k, y) and (x, k) with x, y < k, and the pairs x, y < k whose
-r1 or r2 is k, which force an entry outright.  Each row's candidates are
-indexed by bitmasks per (entry, value set), so dropping the rows that break
-one of these takes a few integer ANDs.  A row that is kept is then checked
-against the rotation identities whose rows are now all placed.  The search
-prunes with nothing else: the full checker alone decides riva, rivb and the
-rest of rv-r2.  Each step drops only rows that the checker would reject, so
-the structures and their order are unchanged.
+values each entry of row k may still take.  It uses the instances of a
+rotation identity and of the move axiom rv-r2 whose only unknown is one
+entry of row k, and the move axiom rivb-r1, r1(x*y, z) * y = r1(x, z*y):
+with x = k and w = k*y, it reads r1(k, c) = r1(w, c*y) * y, so a placed
+row w forces all of row k.  Each row's candidates are indexed by bitmasks
+per (entry, value set), so dropping the rows that break one of these takes
+a few integer ANDs.  A row that is kept is then checked against the
+rotation identities whose rows are now all placed.  The search prunes with
+nothing else: the full checker alone decides riva, rivb-r2 and the rest of
+rv-r2 and rivb-r1.  Each step drops only rows that the checker would
+reject, so the structures and their order are unchanged.
 
 The checker runs once per orbit of Aut(star), the relabellings that fix the
 star table, on the first complete candidate met of the orbit.  Such a
@@ -126,23 +125,16 @@ def singquandles_for_star(star: OpTable) -> list:
     perms = list(permutations(range(n)))
     domains = []
     for k in range(n):
-        rho = tuple(srows[y][k] for y in range(n))
-        # returning y, y = r2(r1(k, y), k), involves row k alone
-        roots = [g for g in _square_roots(rho, perms)
-                 if all(g[srows[g[y]][k]] == y for y in range(n))]
+        roots = _square_roots(tuple(srows[y][k] for y in range(n)), perms)
         if not roots:
             return []
         domains.append(roots)
     masks = [_value_masks(d, n) for d in domains]
     index = [{g: i for i, g in enumerate(d)} for d in domains]
     every_value = (1 << n) - 1
-    # left[a][u]: the set of c with a*c == u; under[y][z]: the x with x*y == z
+    # left[a][u]: the set of c with a*c == u
     left = [[sum(1 << c for c in range(n) if srows[a][c] == u) for u in range(n)]
             for a in range(n)]
-    under = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            under[y][srows[x][y]] = x
 
     rows = [None] * n
     found = []
@@ -153,26 +145,21 @@ def singquandles_for_star(star: OpTable) -> list:
     automorphisms = None
 
     def candidates(k: int) -> int:
-        """The rows in domains[k], as a bitmask, that break none of the pair
-        instances whose one unknown is an entry of row k; rows 0..k-1 are
+        """The rows in domains[k], as a bitmask, that break none of the
+        instances whose unknowns are entries of row k; rows 0..k-1 are
         placed.  With v = r1(x,y) and u = r2(x,y), the instances are the
-        rotations (a) x = r2(u, v), (b) y = r1(u, v), (c) v = r2(y, u) and
-        (d) u = r1(v, x), and rv-r2, (e) u = r1(w, x) * r2(w, x), w = y*x.
+        rotation (d) u = r1(v, x), rv-r2 (e) u = r1(w, x) * r2(w, x) with
+        w = y*x, and rivb-r1 (f) r1(x*y, z) * y = r1(x, z*y).
         """
         allowed = [every_value] * n     # the values left for each entry of row k
         sk = srows[k]
         for j in range(k):
             rj = rows[j]
             p = srows[j][k]
-            # pair (k, j): v is entry j; u = r1(j, k*j) is known
-            u = rj[sk[j]]
-            if u < k:
-                # (b) and (c) each force v
-                ru = rows[u]
-                allowed[j] &= (1 << ru.index(j)) & (1 << ru[srows[j][u]])
             if p < k:
-                # (e) with w = j*k: r2(w, k) is entry w*k
-                allowed[srows[p][k]] &= left[rows[p][k]][u]
+                # (e) for the pair (k, j), u = r1(j, k*j), w = j*k: r2(w, k)
+                # is entry w*k
+                allowed[srows[p][k]] &= left[rows[p][k]][rj[sk[j]]]
             # pair (j, k): v = r1(j, k) is known; u is entry j*k
             v = rj[k]
             if v < k:
@@ -180,20 +167,13 @@ def singquandles_for_star(star: OpTable) -> list:
             w = sk[j]
             if w < k:
                 allowed[p] &= 1 << srows[rows[w][j]][rj[srows[w][j]]]  # (e)
-            # pair (j, z) with v = r1(j, z) = k: (a) forces entry u*k to j,
-            # and (d) entry j to u
-            z = rj.index(k)
-            if z < k:
-                u = rows[z][srows[j][z]]
-                allowed[srows[u][k]] &= 1 << j
-                allowed[j] &= 1 << u
-            # pair (x, j) with u = r1(j, x*j) = k, so x*j = z: (b) forces
-            # entry v to j, and (c) entry j*k to v
-            x = under[j][z]
-            if x < k:
-                v = rows[x][j]
-                allowed[v] &= 1 << j
-                allowed[p] &= 1 << v
+        for y, w in enumerate(sk):
+            if w < k:
+                # (f) with x = k, z = c*y: r1(k, c) = r1(w, c*y) * y; the
+                # x with x*y = k is w too, as column y is an involution
+                rw = rows[w]
+                for c in range(n):
+                    allowed[c] &= 1 << srows[rw[srows[c][y]]][y]
         todo = (1 << len(domains[k])) - 1
         for j, m in enumerate(allowed):
             if m != every_value:

@@ -16,6 +16,7 @@ classical letters ("s1'").
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import product
 
@@ -147,7 +148,7 @@ def braid_closure(word: TangleWord) -> SingularDiagram:
     the resulting label classes are renumbered 0..m-1 by smallest member.
     """
     k = word.strands
-    cur = list(range(k))
+    cur = array("q", range(k))
     nxt = k
     crossings = []
     for letter in word.letters:
@@ -166,7 +167,8 @@ def braid_closure(word: TangleWord) -> SingularDiagram:
             cur[i], cur[i + 1] = b, nxt
             nxt += 1
 
-    parent = list(range(nxt))
+    # union-find over labels, each root the least label of its class
+    parent = array("q", range(nxt))
 
     def find(x):
         while parent[x] != x:
@@ -175,20 +177,28 @@ def braid_closure(word: TangleWord) -> SingularDiagram:
         return x
 
     for i in range(k):
-        parent[find(cur[i])] = find(i)
+        a, b = find(cur[i]), find(i)
+        if a < b:
+            a, b = b, a
+        parent[a] = b
 
-    smallest = {}
+    # parent[x] < x except at a root, so one pass in label order numbers the
+    # classes by least member
+    label = array("q", [0]) * nxt
+    arcs = 0
     for x in range(nxt):
-        r = find(x)
-        smallest[r] = min(smallest.get(r, x), x)
-    new_id = {m: i for i, m in enumerate(sorted(smallest.values()))}
-    label = [new_id[smallest[find(x)]] for x in range(nxt)]
+        p = parent[x]
+        if p == x:
+            label[x] = arcs
+            arcs += 1
+        else:
+            label[x] = label[p]
 
     remapped = []
     for cr in crossings:
         fixed = tuple(label[x] for x in cr.labels)
         remapped.append(Classical(*fixed) if isinstance(cr, Classical) else Singular(*fixed))
-    return SingularDiagram(len(new_id), tuple(remapped))
+    return SingularDiagram(arcs, tuple(remapped))
 
 
 def move_word_pairs() -> dict:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -132,6 +133,67 @@ def test_check_all_runs_once_per_orbit(monkeypatch):
             total += len(checked)
         totals.append(total)
     assert totals == [1, 2, 4, 19]
+
+
+def star_moving_column_5(column) -> OpTable:
+    """The order-6 star whose columns are the identity but column 5."""
+    return OpTable(tuple(tuple(column[x] if y == 5 else x for y in range(6))
+                         for x in range(6)))
+
+
+# Order-6 stars that yield no structure, with the inner place() calls per
+# depth 0-5 that singquandles_for_star makes on them.  A change to the
+# pruning may update these counts, but keeps them under NODE_BOUND.  Before
+# the rivb-r1 forcing, star (0 2)(1 3) took 1, 76, 3996, 94992, 748348,
+# 2187910.
+NODES_6 = {
+    (1, 0, 3, 2, 4, 5): [1, 76, 76, 1856, 1216, 7840],
+    (2, 3, 0, 1, 4, 5): [1, 76, 3996, 1920, 1108, 7192],
+}
+NODE_BOUND = 10_000
+
+# Order-6 stars that yield a few structures, with their counts
+YIELDS_6 = [
+    (((0, 0, 0, 1, 0, 1), (1, 1, 1, 0, 1, 0), (2, 2, 2, 4, 2, 4),
+      (3, 3, 3, 3, 3, 3), (4, 4, 4, 2, 4, 2), (5, 5, 5, 5, 5, 5)), 88),
+    (((0, 0, 0, 0, 0, 0), (1, 1, 4, 5, 3, 2), (2, 3, 2, 4, 5, 1),
+      (3, 2, 5, 3, 1, 4), (4, 5, 1, 2, 4, 3), (5, 4, 3, 1, 2, 5)), 2),
+    (((0, 0, 3, 2, 2, 3), (1, 1, 4, 5, 5, 4), (3, 3, 2, 0, 0, 2),
+      (2, 2, 0, 3, 3, 0), (5, 5, 1, 4, 4, 1), (4, 4, 5, 1, 1, 5)), 4),
+]
+
+
+def place_calls(star: OpTable) -> list:
+    """Calls of the search's inner place() per depth on ``star``, a star
+    that yields nothing; raises AssertionError as soon as one depth passes
+    NODE_BOUND."""
+    place = next(c for c in singquandles_for_star.__code__.co_consts
+                 if getattr(c, "co_name", None) == "place")
+    calls = [0] * (star.order + 1)
+
+    def hook(frame, event, arg):
+        if frame.f_code is place:
+            k = frame.f_locals["k"]
+            calls[k] += 1
+            if calls[k] > NODE_BOUND:
+                raise AssertionError(f"over {NODE_BOUND} nodes at depth {k}: {calls}")
+
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        assert singquandles_for_star(star) == []
+    finally:
+        sys.settrace(previous)
+    return calls
+
+
+def test_order_6_search_nodes_are_bounded():
+    # a count of search nodes does not depend on the machine's speed
+    for column, nodes in NODES_6.items():
+        star = star_moving_column_5(column)
+        assert place_calls(star)[:6] == nodes, column
+    for rows, count in YIELDS_6:
+        assert len(singquandles_for_star(OpTable(rows))) == count
 
 
 # sha256 over the stars of one order, in the order involutive_quandles lists

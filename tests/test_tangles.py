@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -124,6 +125,22 @@ def test_braid_closure_mirrored():
     # the mirror image of the 1-crossing closure is again a 1-arc kink
     assert d.arcs == 1
     assert d.crossings == (Classical(0, 0, 0),)
+
+
+def test_braid_closure_memory_is_flat_per_label():
+    # one crossing on 50,000 strands: 50,001 labels in 49,999 classes.  Flat
+    # arrays take 8 bytes per label each; a list and two dicts per label
+    # took about 275 bytes per label here.
+    strands = 50_000
+    word = parse_word("s1", strands=strands)
+    tracemalloc.start()
+    try:
+        d = braid_closure(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == SingularDiagram(strands - 1, (Classical(0, 0, 0),))
+    assert peak < 60 * (strands + 1)
 
 
 def test_move_word_pairs_shape():
