@@ -26,13 +26,16 @@ nothing else: the full checker alone decides riva, rivb-r2 and the rest of
 rv-r2 and rivb-r1.  Each step drops only rows that the checker would
 reject, so the structures and their order are unchanged.
 
-The checker runs once per orbit of Aut(star), the relabellings that fix the
-star table, on the first complete candidate met of the orbit.  Such a
-relabelling keeps the star, commutes with r2 = derive_r2(star, r1), and
-maps a structure that passes every axiom (each a universally quantified
-equation) to one that passes too.  So when a candidate passes, the keys of
-all its relabellings by Aut(star) go in a set, and a later candidate whose
-key is in the set is accepted without a second check.
+The search yields each verified r1 as a tuple of rows, and builds tables
+only for a candidate the checker judges and for what the public functions
+return.  The checker runs once per orbit of Aut(star), the relabellings
+that fix the star table, on the first complete candidate met of the orbit.
+Such a relabelling keeps the star, commutes with r2 = derive_r2(star, r1),
+and maps a structure that passes every axiom (each a universally
+quantified equation) to one that passes too.  So when a candidate passes,
+its r1 relabelled by each member of Aut(star) goes in a set, and a later
+candidate found in the set is accepted unchecked.  Up to isomorphism,
+likewise, star and r1 alone are relabelled.
 """
 
 from __future__ import annotations
@@ -46,19 +49,21 @@ from .tables import OpTable, Singquandle, serialize_tables
 MAX_ORDER = 5
 
 
-def _involutions_fixing(n: int, fixed: int) -> list:
-    out = []
+def _square_roots(n: int) -> dict:
+    """Each square permutation of range(n), mapped to its square roots in
+    lexicographic order; the involutions are the roots of the identity."""
+    roots = {}
     for p in permutations(range(n)):
-        if p[fixed] == fixed and all(p[p[i]] == i for i in range(n)):
-            out.append(p)
-    return out
+        roots.setdefault(tuple([p[i] for i in p]), []).append(p)
+    return roots
 
 
 def involutive_quandles(n: int) -> list:
     """All involutive quandle tables of order n, in lexicographic row order."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    column_choices = [_involutions_fixing(n, y) for y in range(n)]
+    involutions = _square_roots(n)[tuple(range(n))]
+    column_choices = [[p for p in involutions if p[y] == y] for y in range(n)]
     cols = [None] * n
     found = []
 
@@ -90,16 +95,15 @@ def involutive_quandles(n: int) -> list:
     return found
 
 
-def _square_roots(target, perms) -> list:
-    n = len(target)
-    return [p for p in perms if all(p[p[i]] == target[i] for i in range(n))]
-
-
 def derive_r2(star: OpTable, r1: OpTable) -> OpTable:
     """The unique r2 compatible with star and r1: r2(a,b) = r1(b, a*b)."""
     n = star.order
     return OpTable(tuple(
         tuple(r1.rows[b][star.rows[a][b]] for b in range(n)) for a in range(n)))
+
+
+def _build(star: OpTable, r1: OpTable) -> Singquandle:
+    return Singquandle(star, r1, derive_r2(star, r1))
 
 
 def _value_masks(domain, n: int) -> list:
@@ -118,29 +122,25 @@ def _value_masks(domain, n: int) -> list:
     return masks
 
 
-def singquandles_for_star(star: OpTable) -> list:
-    """All verified structures with the given star table."""
+def _verified_r1(star: OpTable):
+    """Yield the r1 of each verified structure with the given star table, as
+    a tuple of rows, in the order of the search."""
     n = star.order
     srows = star.rows
-    perms = list(permutations(range(n)))
-    domains = []
-    for k in range(n):
-        roots = _square_roots(tuple(srows[y][k] for y in range(n)), perms)
-        if not roots:
-            return []
-        domains.append(roots)
+    roots = _square_roots(n)
+    domains = [roots.get(tuple(srows[y][k] for y in range(n))) for k in range(n)]
+    if not all(domains):
+        return
     masks = [_value_masks(d, n) for d in domains]
-    index = [{g: i for i, g in enumerate(d)} for d in domains]
     every_value = (1 << n) - 1
     # left[a][u]: the set of c with a*c == u
     left = [[sum(1 << c for c in range(n) if srows[a][c] == u) for u in range(n)]
             for a in range(n)]
 
     rows = [None] * n
-    found = []
-    # the keys of the relabellings by Aut(star) of verified candidates, not
-    # yet met; a key packs the indices of the rows of r1 in domains into
-    # one int.  Aut(star) is found at the first candidate that passes.
+    # flat r1 keys, as bytes (a tuple takes 4 times the memory, and the order-5
+    # trivial star holds up to 12,218), of the relabellings by Aut(star) of
+    # verified candidates not yet met; Aut(star) is found at the first pass
     verified = set()
     automorphisms = None
 
@@ -204,43 +204,39 @@ def singquandles_for_star(star: OpTable) -> list:
                         return False
         return True
 
-    def place(k: int, key: int) -> None:
+    def place(k: int):
         nonlocal automorphisms
         if k == n:
-            r1 = OpTable(tuple(rows))
-            candidate = Singquandle(star, r1, derive_r2(star, r1))
+            key = bytes(sum(rows, ()))
             if key in verified:
                 verified.remove(key)
-                found.append(candidate)
-            elif check_all(candidate).all_hold:
-                found.append(candidate)
+            elif check_all(_build(star, OpTable(tuple(rows)))).all_hold:
                 if automorphisms is None:
-                    automorphisms = [g for g in perms if all(
+                    automorphisms = [g for g in permutations(range(n)) if all(
                         g[srows[x][y]] == srows[g[x]][g[y]]
                         for x in range(n) for y in range(n))]
-                for g in automorphisms:
-                    moved = _relabelled(candidate, g)
-                    moved_key = 0
-                    for j in range(n):
-                        row = moved[(n + j) * n:(n + j + 1) * n]     # r1 row j
-                        moved_key = moved_key * len(domains[j]) + index[j][row]
-                    verified.add(moved_key)
+                verified.update(bytes(_relabelled((rows,), g)) for g in automorphisms)
                 verified.discard(key)
+            else:
+                return
+            yield tuple(rows)
             return
         domain = domains[k]
         todo = candidates(k)
-        key *= len(domain)
         while todo:
             low = todo & -todo
             todo ^= low
-            i = low.bit_length() - 1
-            rows[k] = domain[i]
+            rows[k] = domain[low.bit_length() - 1]
             if consistent(k):
-                place(k + 1, key + i)
+                yield from place(k + 1)
         rows[k] = None
 
-    place(0, 0)
-    return found
+    yield from place(0)
+
+
+def singquandles_for_star(star: OpTable) -> list:
+    """All verified structures with the given star table."""
+    return [_build(star, OpTable(r1)) for r1 in _verified_r1(star)]
 
 
 @dataclass(frozen=True)
@@ -254,42 +250,41 @@ def enumerate_singquandles(n: int, up_to_iso: bool = False) -> Census:
     """Complete census of order-n structures; hard order limit MAX_ORDER.
 
     Up to isomorphism each class is relabelled once: its first structure
-    puts all the keys of its class in ``seen``, so the rest are skipped."""
+    puts all the keys of its class in ``seen``, so the rest are skipped.  A
+    key holds star and r1 only, as r2 is derived from them."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")
     count = 0
     seen = set()
     least = []
     for star in involutive_quandles(n):
-        for s in singquandles_for_star(star):
+        star_key = sum(star.rows, ())
+        for r1 in _verified_r1(star):
             count += 1
-            if up_to_iso and _flat_key(s) not in seen:
-                keys = {_relabelled(s, perm) for perm in permutations(range(n))}
+            if up_to_iso and star_key + sum(r1, ()) not in seen:
+                keys = {_relabelled((star.rows, r1), perm)
+                        for perm in permutations(range(n))}
                 seen |= keys
                 least.append(min(keys))
     structures = None
     if up_to_iso:
-        structures = tuple(_structure(key, n) for key in sorted(least))
+        structures = tuple(_build(*_tables(key, n)) for key in sorted(least))
     return Census(n, count, structures)
 
 
-def _flat_key(s: Singquandle) -> tuple:
-    return (sum(s.star.rows, ()) + sum(s.r1.rows, ()) + sum(s.r2.rows, ()))
+def _tables(key: tuple, n: int) -> list:
+    """The order-n tables whose rows, one after another, make up ``key``."""
+    rows = [key[i:i + n] for i in range(0, len(key), n)]
+    return [OpTable(tuple(rows[i:i + n])) for i in range(0, len(rows), n)]
 
 
-def _structure(key: tuple, n: int) -> Singquandle:
-    """The structure whose flat key is ``key``."""
-    rows = [key[i:i + n] for i in range(0, 3 * n * n, n)]
-    return Singquandle(*(OpTable(tuple(rows[i:i + n])) for i in (0, n, 2 * n)))
-
-
-def _relabelled(s: Singquandle, perm) -> tuple:
-    """The flat key of s relabelled by perm, read off the tables of s.
+def _relabelled(tables, perm) -> tuple:
+    """The row tables relabelled by perm, as one flat tuple of their rows.
 
     The relabelled table holds perm[T[x][y]] at (perm[x], perm[y]), so its
     row i is row inv[i] of T read at the columns inv."""
-    inv = sorted(range(s.order), key=perm.__getitem__)
-    rows = [t.rows[x] for t in (s.star, s.r1, s.r2) for x in inv]
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    rows = [t[x] for t in tables for x in inv]
     return tuple([perm[r[y]] for r in rows for y in inv])
 
 
@@ -298,22 +293,26 @@ def relabel(s: Singquandle, perm) -> Singquandle:
     n = s.order
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the label set")
-    return _structure(_relabelled(s, perm), n)
+    return Singquandle(*_tables(
+        _relabelled((s.star.rows, s.r1.rows, s.r2.rows), perm), n))
 
 
 def canonical_form(s: Singquandle) -> Singquandle:
     """Lexicographically least relabeling of the structure."""
     n = s.order
-    return _structure(min(_relabelled(s, perm)
-                          for perm in permutations(range(n))), n)
+    tables = (s.star.rows, s.r1.rows, s.r2.rows)
+    return Singquandle(*_tables(min(_relabelled(tables, perm)
+                                    for perm in permutations(range(n))), n))
 
 
 def is_isomorphic(s1: Singquandle, s2: Singquandle) -> bool:
     """True iff some relabeling carries all three tables of s1 onto s2."""
     if s1.order != s2.order:
         raise ValueError("orders differ")
-    return _flat_key(s2) in (_relabelled(s1, perm)
-                             for perm in permutations(range(s1.order)))
+    n = s1.order
+    tables = (s1.star.rows, s1.r1.rows, s1.r2.rows)
+    target = _relabelled((s2.star.rows, s2.r1.rows, s2.r2.rows), range(n))
+    return target in (_relabelled(tables, perm) for perm in permutations(range(n)))
 
 
 def serialize_census(census: Census) -> str:

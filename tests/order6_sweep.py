@@ -1,8 +1,11 @@
 """List the structures of every non-trivial order-6 star and check the listing.
 
-Run from the repository root (about 40 s on one core):
+Run from the repository root:
 
     PYTHONPATH=src python3 tests/order6_sweep.py
+
+It prints its time and peak RSS: 28 s and 24 MB on one core of a 2-core
+Intel Xeon under Python 3.11.
 
 The non-trivial stars are the 3,471 involutive quandles of order 6 other
 than the trivial one (x * y = x), which alone yields millions of
@@ -16,6 +19,7 @@ It is not a pytest module, so Tier-1 does not run it.
 from __future__ import annotations
 
 import hashlib
+import resource
 import sys
 import time
 
@@ -37,8 +41,10 @@ def main() -> int:
             count += 1
             h.update(repr((s.star.rows, s.r1.rows, s.r2.rows)).encode())
     got = (len(stars), count, h.hexdigest())
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"stars {got[0]}  structures {got[1]}  sha256 {got[2]}  "
-          f"{time.perf_counter() - start:.1f} s")
+          f"{time.perf_counter() - start:.1f} s  peak RSS {peak:.1f} MB")
     if got != (STARS, STRUCTURES, DIGEST):
         print(f"expected stars {STARS}  structures {STRUCTURES}  sha256 {DIGEST}",
               file=sys.stderr)

@@ -300,6 +300,17 @@ def test_closure_count_is_fixed_points_of_the_word(small_census):
         s = rng.choice(small_census)
         assert (count_colorings_bruteforce(braid_closure(word), s).count
                 == fixed_points(word, s))
+    # tables that satisfy no axiom: each crossing's outgoing arcs are still
+    # functions of its incoming ones, so the identity holds for any tables;
+    # the words are kept short for the oracle, which tries every coloring
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        s = Singquandle(random_table(rng, n), random_table(rng, n),
+                        random_table(rng, n))
+        word = random_word(rng, rng.randint(2, 4), rng.randint(0, 6))
+        diagram = braid_closure(word)
+        assert (count_colorings_bruteforce(diagram, s).count
+                == fixed_points(word, s) == color_count_oracle(diagram, s))
 
 
 @st.composite

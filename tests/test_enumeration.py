@@ -135,6 +135,24 @@ def test_check_all_runs_once_per_orbit(monkeypatch):
     assert totals == [1, 2, 4, 19]
 
 
+def test_labelled_census_builds_only_what_check_all_judges(monkeypatch):
+    # a labelled count builds a structure only for a candidate check_all
+    # must judge, one per orbit (test_check_all_runs_once_per_orbit)
+    built = []
+
+    def counting(star, r1):
+        built.append(r1)
+        return derive_r2(star, r1)
+
+    monkeypatch.setattr(enumeration, "derive_r2", counting)
+    totals = []
+    for n in (1, 2, 3, 4):
+        built.clear()
+        enumerate_singquandles(n)
+        totals.append(len(built))
+    assert totals == [1, 2, 4, 19]
+
+
 def star_moving_column_5(column) -> OpTable:
     """The order-6 star whose columns are the identity but column 5."""
     return OpTable(tuple(tuple(column[x] if y == 5 else x for y in range(6))
@@ -142,10 +160,10 @@ def star_moving_column_5(column) -> OpTable:
 
 
 # Order-6 stars that yield no structure, with the inner place() calls per
-# depth 0-5 that singquandles_for_star makes on them.  A change to the
-# pruning may update these counts, but keeps them under NODE_BOUND.  Before
-# the rivb-r1 forcing, star (0 2)(1 3) took 1, 76, 3996, 94992, 748348,
-# 2187910.
+# depth 0-5 that the search behind singquandles_for_star makes on them.  A
+# change to the pruning may update these counts, but keeps them under
+# NODE_BOUND.  Before the rivb-r1 forcing, star (0 2)(1 3) took 1, 76, 3996,
+# 94992, 748348, 2187910.
 NODES_6 = {
     (1, 0, 3, 2, 4, 5): [1, 76, 76, 1856, 1216, 7840],
     (2, 3, 0, 1, 4, 5): [1, 76, 3996, 1920, 1108, 7192],
@@ -167,7 +185,7 @@ def place_calls(star: OpTable) -> list:
     """Calls of the search's inner place() per depth on ``star``, a star
     that yields nothing; raises AssertionError as soon as one depth passes
     NODE_BOUND."""
-    place = next(c for c in singquandles_for_star.__code__.co_consts
+    place = next(c for c in enumeration._verified_r1.__code__.co_consts
                  if getattr(c, "co_name", None) == "place")
     calls = [0] * (star.order + 1)
 
@@ -331,6 +349,13 @@ def test_orbit_stabilizer_sums_give_the_labelled_counts(classes5):
             assert len(perms) % aut == 0
             total += len(perms) // aut
         assert total == census.count == labelled, n
+
+
+def test_census_up_to_isomorphism_is_pinned(classes5):
+    # the output of `singquandles enumerate 5 --up-to-iso`
+    text = serialize_census(classes5)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "bad5baee8647bf4c645ce49b2f881c96b252919eea7800e74022fe6f3fb30ea6")
 
 
 def test_order_one_census_is_forced():
