@@ -26,21 +26,23 @@ nothing else: the full checker alone decides riva, rivb-r2 and the rest of
 rv-r2 and rivb-r1.  Each step drops only rows that the checker would
 reject, so the structures and their order are unchanged.
 
-The search yields each verified r1 as a tuple of rows, and builds tables
-only for a candidate the checker judges and for what the public functions
-return.  The checker runs once per orbit of Aut(star), the relabellings
-that fix the star table, on the first complete candidate met of the orbit.
-Such a relabelling keeps the star, commutes with r2 = derive_r2(star, r1),
-and maps a structure that passes every axiom (each a universally
-quantified equation) to one that passes too.  So when a candidate passes,
-its r1 relabelled by each member of Aut(star) goes in a set, and a later
-candidate found in the set is accepted unchecked.  Up to isomorphism,
-likewise, star and r1 alone are relabelled.
+The search yields each verified r1 as a tuple of rows, in lexicographic
+order; tables are built only for a candidate the checker judges and for
+what the public functions return.  The checker runs once per orbit of
+Aut(star), the relabellings fixing the star table, on the first, so least,
+member met.  Such a relabelling keeps the star, commutes with r2 =
+derive_r2(star, r1) and keeps every axiom (each a universally quantified
+equation), so the orbit of a passing r1 goes in a set, and a later
+candidate found there is accepted unchecked.  A relabelling between two
+structures with the same star lies in Aut(star), so each isomorphism class
+meets the least star of its star's class in one such orbit, whose least
+member is the class's canonical form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 from .axioms import check_all
@@ -49,6 +51,7 @@ from .tables import OpTable, Singquandle, serialize_tables
 MAX_ORDER = 5
 
 
+@cache
 def _square_roots(n: int) -> dict:
     """Each square permutation of range(n), mapped to its square roots in
     lexicographic order; the involutions are the roots of the identity."""
@@ -59,7 +62,7 @@ def _square_roots(n: int) -> dict:
 
 
 def involutive_quandles(n: int) -> list:
-    """All involutive quandle tables of order n, in lexicographic row order."""
+    """All involutive quandle tables of order n, sorted by their columns."""
     if n < 1:
         raise ValueError("order must be >= 1")
     involutions = _square_roots(n)[tuple(range(n))]
@@ -92,6 +95,7 @@ def involutive_quandles(n: int) -> list:
         cols[c] = None
 
     place(0)
+    del place  # place refers to itself; drop that cycle now
     return found
 
 
@@ -123,12 +127,11 @@ def _value_masks(domain, n: int) -> list:
 
 
 def _verified_r1(star: OpTable):
-    """Yield the r1 of each verified structure with the given star table, as
-    a tuple of rows, in the order of the search."""
+    """Yield (r1, first) per verified structure with this star, r1 as rows in
+    lexicographic order, first true for the least of each Aut(star) orbit."""
     n = star.order
     srows = star.rows
-    roots = _square_roots(n)
-    domains = [roots.get(tuple(srows[y][k] for y in range(n))) for k in range(n)]
+    domains = [_square_roots(n).get(column) for column in zip(*srows)]
     if not all(domains):
         return
     masks = [_value_masks(d, n) for d in domains]
@@ -138,9 +141,8 @@ def _verified_r1(star: OpTable):
             for a in range(n)]
 
     rows = [None] * n
-    # flat r1 keys, as bytes (a tuple takes 4 times the memory, and the order-5
-    # trivial star holds up to 12,218), of the relabellings by Aut(star) of
-    # verified candidates not yet met; Aut(star) is found at the first pass
+    # the Aut(star) relabellings of verified r1 not yet met, as flat bytes keys
+    # (tuples take 4 times the memory; the order-5 trivial star holds 12,218)
     verified = set()
     automorphisms = None
 
@@ -208,7 +210,8 @@ def _verified_r1(star: OpTable):
         nonlocal automorphisms
         if k == n:
             key = bytes(sum(rows, ()))
-            if key in verified:
+            first = key not in verified
+            if not first:
                 verified.remove(key)
             elif check_all(_build(star, OpTable(tuple(rows)))).all_hold:
                 if automorphisms is None:
@@ -219,7 +222,7 @@ def _verified_r1(star: OpTable):
                 verified.discard(key)
             else:
                 return
-            yield tuple(rows)
+            yield tuple(rows), first
             return
         domain = domains[k]
         todo = candidates(k)
@@ -231,12 +234,15 @@ def _verified_r1(star: OpTable):
                 yield from place(k + 1)
         rows[k] = None
 
-    yield from place(0)
+    try:
+        yield from place(0)
+    finally:
+        del place  # place refers to itself; drop that cycle now
 
 
 def singquandles_for_star(star: OpTable) -> list:
     """All verified structures with the given star table."""
-    return [_build(star, OpTable(r1)) for r1 in _verified_r1(star)]
+    return [_build(star, OpTable(r1)) for r1, _ in _verified_r1(star)]
 
 
 @dataclass(frozen=True)
@@ -249,27 +255,22 @@ class Census:
 def enumerate_singquandles(n: int, up_to_iso: bool = False) -> Census:
     """Complete census of order-n structures; hard order limit MAX_ORDER.
 
-    Up to isomorphism each class is relabelled once: its first structure
-    puts all the keys of its class in ``seen``, so the rest are skipped.  A
-    key holds star and r1 only, as r2 is derived from them."""
+    Up to isomorphism the classes are read off the search: a relabelling
+    between structures with the same star lies in Aut(star), so each class
+    meets the least star of its star's class in one Aut(star) orbit, whose
+    first member met is least, as r1 is met in lexicographic order.  The
+    stars are sorted by rows, not columns, so the classes come out sorted."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")
     count = 0
-    seen = set()
-    least = []
-    for star in involutive_quandles(n):
-        star_key = sum(star.rows, ())
-        for r1 in _verified_r1(star):
+    classes = []
+    for star in sorted(involutive_quandles(n), key=lambda t: t.rows):
+        least = up_to_iso and _least((star.rows,)) == sum(star.rows, ())
+        for r1, first in _verified_r1(star):
             count += 1
-            if up_to_iso and star_key + sum(r1, ()) not in seen:
-                keys = {_relabelled((star.rows, r1), perm)
-                        for perm in permutations(range(n))}
-                seen |= keys
-                least.append(min(keys))
-    structures = None
-    if up_to_iso:
-        structures = tuple(_build(*_tables(key, n)) for key in sorted(least))
-    return Census(n, count, structures)
+            if least and first:
+                classes.append(_build(star, OpTable(r1)))
+    return Census(n, count, tuple(classes) if up_to_iso else None)
 
 
 def _tables(key: tuple, n: int) -> list:
@@ -290,29 +291,30 @@ def _relabelled(tables, perm) -> tuple:
 
 def relabel(s: Singquandle, perm) -> Singquandle:
     """Transport all three tables along the permutation of labels."""
-    n = s.order
-    if sorted(perm) != list(range(n)):
+    if sorted(perm) != list(range(s.order)):
         raise ValueError("not a permutation of the label set")
     return Singquandle(*_tables(
-        _relabelled((s.star.rows, s.r1.rows, s.r2.rows), perm), n))
+        _relabelled((s.star.rows, s.r1.rows, s.r2.rows), perm), s.order))
+
+
+def _least(tables) -> tuple:
+    """The least relabelling of the row tables, as one flat tuple."""
+    return min(_relabelled(tables, perm)
+               for perm in permutations(range(len(tables[0]))))
 
 
 def canonical_form(s: Singquandle) -> Singquandle:
     """Lexicographically least relabeling of the structure."""
-    n = s.order
-    tables = (s.star.rows, s.r1.rows, s.r2.rows)
-    return Singquandle(*_tables(min(_relabelled(tables, perm)
-                                    for perm in permutations(range(n))), n))
+    return Singquandle(*_tables(_least((s.star.rows, s.r1.rows, s.r2.rows)),
+                                s.order))
 
 
 def is_isomorphic(s1: Singquandle, s2: Singquandle) -> bool:
     """True iff some relabeling carries all three tables of s1 onto s2."""
     if s1.order != s2.order:
         raise ValueError("orders differ")
-    n = s1.order
-    tables = (s1.star.rows, s1.r1.rows, s1.r2.rows)
-    target = _relabelled((s2.star.rows, s2.r1.rows, s2.r2.rows), range(n))
-    return target in (_relabelled(tables, perm) for perm in permutations(range(n)))
+    return (_least((s1.star.rows, s1.r1.rows, s1.r2.rows))
+            == _least((s2.star.rows, s2.r1.rows, s2.r2.rows)))
 
 
 def serialize_census(census: Census) -> str:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import sys
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -256,21 +258,54 @@ def test_census_counts():
         enumerate_singquandles(6)
 
 
-def test_census_structure_field():
+def test_census_structure_field(classes5):
     census = enumerate_singquandles(3)
     assert isinstance(census, Census)
     assert census.structures is None
     with_reps = enumerate_singquandles(3, up_to_iso=True)
     assert with_reps.count == 10
     assert with_reps.structures is not None
-    reps = with_reps.structures
-    # canonical forms: lex-minimal, sorted output, pairwise non-isomorphic
-    assert [flat(s) for s in reps] == sorted(flat(s) for s in reps)
-    for s in reps:
-        assert canonical_form(s) == s
-    for i, a in enumerate(reps):
-        for b in reps[i + 1:]:
-            assert not is_isomorphic(a, b)
+    # each class is listed by its canonical form, and the forms strictly
+    # increase, so no two listed classes are isomorphic
+    for reps in (with_reps.structures,
+                 enumerate_singquandles(4, up_to_iso=True).structures,
+                 classes5.structures):
+        for s in reps:
+            assert canonical_form(s) == s
+        keys = [flat(s) for s in reps]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_census_search_leaves_no_garbage_cycles():
+    # each search's state is freed when it ends, not at the next collection
+    # of cyclic garbage
+    stars = involutive_quandles(4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for star in stars:
+            singquandles_for_star(star)
+        assert gc.collect() == 0
+        involutive_quandles(4)
+        assert gc.collect() == 0
+        enumerate_singquandles(3, up_to_iso=True)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_census_up_to_isomorphism_memory_is_small():
+    # the classes are read off the search, with no set of relabelled keys;
+    # such a set peaked at 8.6 MiB here
+    tracemalloc.start()
+    try:
+        enumerate_singquandles(5, up_to_iso=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_alexander_structures_appear_in_census():
