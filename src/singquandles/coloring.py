@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import chain, combinations, islice, product
 from math import gcd
 
@@ -55,39 +55,95 @@ def serialize_report(report: ColoringReport) -> str:
 _PAIRS = (((0, 0), (0, 2), (1, 1), (1, 2), (2, 2)),
           tuple(combinations(range(4), 2))[1:])
 
+# the tables kept, one entry per crossing kind of a structure (the star's
+# shared by the structures with that star), and the diagrams whose plans
+# are kept; a caller counts one structure on a few diagrams before the next
+_TABLES_KEPT = 8
+_DIAGRAMS_KEPT = 64
 
-def _inverse(legs: list, q: int, r: int, p: int, n: int):
-    """The table of leg p as a function of legs q and r, or None if it
-    adds nothing to a plan.
 
-    legs lists the leg tuples of one crossing kind, one per pair of inputs.
-    The table is None where no inputs give legs q and r those colors, so
-    with p == q it is a filter, which adds nothing if it passes them all.
+def _slot(kind: int, pair: int, p: int) -> int:
+    """Where the tables of a crossing kind hold the inverse table of leg p
+    for the pair _PAIRS[kind][pair]; the slots before hold the kind's
+    forward tables, star alone, or r1 and r2."""
+    return kind + 1 + (kind + 3) * pair + p
+
+
+@lru_cache(maxsize=_TABLES_KEPT)
+def _tables(forward: tuple):
+    """The signature of a crossing kind whose outputs are read off the
+    forward tables (star alone, or r1 and r2), the bitmask of the slots
+    whose table is None, and a function that gives the table in any other
+    slot, built the first time it is asked for.
+
+    The table in the slot of (q, r, p) gives leg p of a crossing of the
+    kind as a function of legs q and r.  It is None if two inputs give legs
+    q and r the same colors and leg p different ones.  It holds None where
+    no inputs give legs q and r those colors, so with p == q it is a
+    filter, which adds nothing if it passes them all, and is then None too.
     q == r asks about one leg alone, and the table is read on its diagonal.
+    The signature comes from counts of the distinct colors of legs (q, r)
+    and, where those do not settle it, of legs (q, r, p), so no table is
+    built for it.
     """
-    table = [[None] * n for _ in range(n)]
-    for t in legs:
-        row = table[t[q]]
-        w = row[t[r]]
-        if w is None:
-            row[t[r]] = t[p]
-        elif w != t[p]:
-            return None
-    unmet = sum(row.count(None) for row in table) if p == q else -1
-    return None if unmet == (n * n - n if q == r else 0) else table
+    n = len(forward[0])
+    kind = len(forward) - 1
+    first, second = zip(*product(range(n), repeat=2))
+    legs = (first, second, *(tuple(chain.from_iterable(rows)) for rows in forward))
+    built = dict(enumerate(forward))
+    # the legs (q, r, p) that each slot's table reads, as columns over the
+    # pairs of inputs
+    columns = [None] * len(forward)
+    unset = 0
+    for q, r in _PAIRS[kind]:
+        cq, cr = legs[q], legs[r]
+        met = len(set(zip(cq, cr)))
+        for p, cp in enumerate(legs):
+            if p == q:
+                vain = met == (n if q == r else n * n)
+            elif p == r or met == n * n:
+                # with n * n colors, legs q and r fix the inputs, and so
+                # every leg
+                vain = False
+            elif {q, r, p} >= {0, 1}:
+                # legs q, r and p hold both inputs, so take n * n colors,
+                # more than legs q and r take
+                vain = True
+            else:
+                vain = len(set(zip(cq, cr, cp))) > met
+            unset |= vain << len(columns)
+            columns.append((cq, cr, cp))
+
+    def table(slot):
+        t = built.get(slot)
+        if t is None:
+            rows = [[None] * n for _ in range(n)]
+            for x, y, z in zip(*columns[slot]):
+                rows[x][y] = z
+            t = built[slot] = tuple(map(tuple, rows))
+        return t
+
+    return unset, table
+
+
+@lru_cache(maxsize=_DIAGRAMS_KEPT)
+def _loops(diagram: SingularDiagram) -> tuple:
+    """The crossings whose outputs are among their inputs, the only ones
+    that can be vacuous, by index."""
+    return tuple(i for i, cr in enumerate(diagram.crossings)
+                 if set(cr.labels[:2]).issuperset(cr.labels[2:]))
 
 
 def _vacuous(cr, s: Singquandle) -> bool:
-    """Whether crossing cr holds under every coloring of its arcs.
+    """Whether crossing cr, whose outputs are among its inputs, holds under
+    every coloring of its arcs.
 
-    Only a crossing whose outputs are among its inputs can, such as a kink
-    under an idempotent star.  It constrains nothing, so its arcs may be
-    left to count n each, like arcs no crossing touches.
+    Such a crossing, a kink under an idempotent star say, constrains
+    nothing, so its arcs may be left to count n each, like arcs no crossing
+    touches.
     """
     labels = cr.labels
     a, b = labels[:2]
-    if not {a, b}.issuperset(labels[2:]):
-        return False
     n = s.order
     pairs = [(x, x) for x in range(n)] if a == b else product(range(n), repeat=2)
     tables = (s.r1.rows, s.r2.rows) if isinstance(cr, Singular) else (s.star.rows,)
@@ -95,66 +151,62 @@ def _vacuous(cr, s: Singquandle) -> bool:
                for x, y in pairs for rows, out in zip(tables, labels[2:]))
 
 
-def _compile(diagram: SingularDiagram, s: Singquandle):
-    """The static search plan, one step (seed, ops) per seed arc, and the
-    unread arcs, which no crossing constrains.
+@lru_cache(maxsize=_DIAGRAMS_KEPT)
+def _skeleton(diagram: SingularDiagram, unset: tuple, vacuous: tuple):
+    """The static search plan for every structure whose signatures, per
+    crossing kind, are unset and under which the crossings in vacuous are
+    vacuous: one step (seed, ops) per seed arc, and the unread arcs, which
+    no crossing constrains.  An op names its table by kind and slot.
 
     After each seed, every crossing whose two input legs are known fires:
     its outputs are looked up in the tables (star for classical crossings,
     r1 and r2 for singular ones).  A crossing that cannot fire is solved
     from its known legs (_PAIRS): a filter rejects colors that no inputs
     give those legs, and a leg that they determine under these tables is
-    read from an inverse table (_inverse).  An op (table, x, y, out, check)
-    assigns table[x][y] to out when check is False, and otherwise rejects
-    the seed's value unless out already holds it.
+    read from an inverse table (_tables).  An op (kind, slot, x, y, out,
+    check) assigns table[x][y] to out when check is False, and otherwise
+    rejects the seed's value unless out already holds it.
 
     The first seed is the lowest-index arc; each later one is the unknown
     input, of a crossing with one input known, that lets the most arcs be
     learned.  So the seeds, and the cost, hardly hang on how the arcs are
     numbered.  Vacuous crossings are left out, so an arc that no other
-    crossing touches is unread and gets no step.
+    crossing touches is unread and gets no step.  Which inverse tables a
+    plan reads hangs on the tables only through which of them are None, so
+    one plan serves every structure with the same signature.
     """
-    n = s.order
-    kinds = ((s.star.rows,), (s.r1.rows, s.r2.rows))
     crossings = []
     touching = [[] for _ in range(diagram.arcs)]
-    for cr in diagram.crossings:
-        if not _vacuous(cr, s):
+    for i, cr in enumerate(diagram.crossings):
+        if i not in vacuous:
             for x in set(cr.labels):
                 touching[x].append(len(crossings))
-            crossings.append((cr.labels, isinstance(cr, Singular)))
+            crossings.append((cr.labels, int(isinstance(cr, Singular))))
     known = [not t for t in touching]
     unread = [x for x, t in enumerate(touching) if not t]
     fired = [False] * len(crossings)
     solved = set()
 
-    @cache
-    def legs_of(kind):
-        """The leg tuples of a crossing kind, one per pair of inputs."""
-        inputs = zip(*product(range(n), repeat=2))
-        flat = (chain.from_iterable(rows) for rows in kinds[kind])
-        return list(zip(*inputs, *flat))
-
-    @cache
-    def table(kind, q, r, p):
-        return _inverse(legs_of(kind), q, r, p, n)
+    def table(kind, pair, p):
+        slot = _slot(kind, pair, p)
+        return None if unset[kind] >> slot & 1 else slot
 
     def solve(i, known, solved, ops):
         legs, kind = crossings[i]
         new = []
-        for q, r in _PAIRS[kind]:
+        for pair, (q, r) in enumerate(_PAIRS[kind]):
             x, y = legs[q], legs[r]
             if not (known[x] and known[y]) or (i, q, r) in solved:
                 continue
             solved.add((i, q, r))
-            feasible = table(kind, q, r, q)
+            feasible = table(kind, pair, q)
             if feasible is not None:
-                ops.append((feasible, x, y, x, True))
+                ops.append((kind, feasible, x, y, x, True))
             for p, z in enumerate(legs):
-                inverse = None if known[z] else table(kind, q, r, p)
+                inverse = None if known[z] else table(kind, pair, p)
                 if inverse is not None:
                     known[z] = True
-                    ops.append((inverse, x, y, z, False))
+                    ops.append((kind, inverse, x, y, z, False))
                     new.append(z)
         return new
 
@@ -175,8 +227,8 @@ def _compile(diagram: SingularDiagram, s: Singquandle):
                         waiting.add(i)
                         continue
                     fired[i] = True
-                    for rows, out in zip(kinds[kind], legs[2:]):
-                        ops.append((rows, a, b, out, known[out]))
+                    for slot, out in enumerate(legs[2:]):
+                        ops.append((kind, slot, a, b, out, known[out]))
                         if not known[out]:
                             known[out] = True
                             learned.append(out)
@@ -198,7 +250,7 @@ def _compile(diagram: SingularDiagram, s: Singquandle):
         while low < diagram.arcs and known[low]:
             low += 1
         if low == diagram.arcs:
-            return plan, unread
+            return tuple(plan), tuple(unread)
         ready = sorted({x for legs, _ in crossings
                         if known[legs[0]] != known[legs[1]]
                         for x in legs[:2] if not known[x]})
@@ -207,6 +259,24 @@ def _compile(diagram: SingularDiagram, s: Singquandle):
         else:
             seed = ready[0] if ready else low
         plan.append((seed, tuple(spread(seed, known, fired, solved))))
+
+
+def _compile(diagram: SingularDiagram, s: Singquandle):
+    """The static search plan under s's tables, and the unread arcs: the
+    plan of _skeleton, its slots bound to s's tables.
+
+    The tables, with their signature, are built once per crossing kind of
+    a structure, the classical ones once per star, and the skeleton once
+    per diagram, signatures and set of vacuous crossings, each in a small
+    cache, so a call mostly binds slots to tables.
+    """
+    unset, table = zip(_tables((s.star.rows,)), _tables((s.r1.rows, s.r2.rows)))
+    crossings = diagram.crossings
+    vacuous = tuple(i for i in _loops(diagram) if _vacuous(crossings[i], s))
+    plan, unread = _skeleton(diagram, unset, vacuous)
+    return [(seed, tuple([(table[kind](slot), a, b, out, check)
+                          for kind, slot, a, b, out, check in ops]))
+            for seed, ops in plan], unread
 
 
 def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
@@ -224,16 +294,9 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     # colorings per unread arc and per free circle
     plan, unread = _compile(diagram, s)
     color = [None] * diagram.arcs
-    kept = []
-
-    def gather():
-        kept.append(tuple(color))
-        if len(kept) > 2 * cap:
-            kept.sort()
-            del kept[cap:]
-        return 1
-
-    leaf = gather if list_colorings else (lambda: 1)
+    # with no seeds, the search's one leaf is the empty coloring
+    leaves = 0 if plan else 1
+    kept = [] if plan else [tuple(color)]
 
     # the stack holds the (seed, ops, value, next step's entries) still to
     # try, the least value on top: the walk is depth first, and meets the
@@ -241,7 +304,6 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     entries = None
     for seed, ops in reversed(plan):
         entries = [(seed, ops, v, entries) for v in reversed(range(n))]
-    leaves = 0 if plan else leaf()
     stack = list(entries or ())
     while stack:
         seed, ops, v, after = stack.pop()
@@ -253,10 +315,15 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
             elif color[out] != w:
                 break
         else:
-            if after is None:
-                leaves += leaf()
-            else:
+            if after is not None:
                 stack += after
+                continue
+            leaves += 1
+            if list_colorings:
+                kept.append(tuple(color))
+                if len(kept) > 2 * cap:
+                    kept.sort()
+                    del kept[cap:]
 
     count = leaves * n ** (len(unread) + diagram.free)
     if not list_colorings:

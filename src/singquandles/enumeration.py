@@ -265,11 +265,15 @@ def enumerate_singquandles(n: int, up_to_iso: bool = False) -> Census:
     count = 0
     classes = []
     for star in sorted(involutive_quandles(n), key=lambda t: t.rows):
-        least = up_to_iso and _least((star.rows,)) == sum(star.rows, ())
+        # whether the star is least in its class, tested only once it yields
+        least = None
         for r1, first in _verified_r1(star):
             count += 1
-            if least and first:
-                classes.append(_build(star, OpTable(r1)))
+            if up_to_iso and first:
+                if least is None:
+                    least = _least((star.rows,)) == sum(star.rows, ())
+                if least:
+                    classes.append(_build(star, OpTable(r1)))
     return Census(n, count, tuple(classes) if up_to_iso else None)
 
 

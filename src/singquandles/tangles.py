@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 
 from .diagrams import Classical, Singular, SingularDiagram
 from .tables import Singquandle
@@ -120,24 +121,70 @@ class TangleRelation:
         return self.outputs[idx]
 
 
+# the letter maps kept, one entry per crossing kind of a structure (the
+# classical letters' shared by the structures with that star), and the
+# (order, strands) pairs whose colorings are kept: each map and each tuple
+# of colorings holds order ** strands entries, so the caches are bounded by
+# structures and pairs, not by letters
+_KEPT = 8
+
+
+@lru_cache(maxsize=_KEPT)
+def _letter_maps(forward: tuple):
+    """A function giving the map that a letter on k strands, of the kind
+    whose outputs are read off the forward tables (star alone, or r1 and
+    r2), induces on flat color indices, built the first time it is asked
+    for.
+
+    A letter on strands i, i + 1 (0-based) turns the colors x, y of those
+    strands into x', y'.  On the flat index hi + (x * n + y) * w + lo,
+    where w = n ** (k - 2 - i), it changes the digit pair x * n + y alone,
+    so its map is one pass of digit arithmetic over the letter's map of
+    pairs, x * n + y -> x' * n + y'.
+    """
+    n = len(forward[0])
+    first, second = zip(*product(range(n), repeat=2))
+    if len(forward) == 1:
+        star, star_t = (list(chain.from_iterable(t))
+                        for t in (forward[0], zip(*forward[0])))
+        pairs = {False: [y * n + c for y, c in zip(second, star)],
+                 True: [c * n + x for x, c in zip(first, star_t)]}
+    else:
+        r1, r2 = (chain.from_iterable(t) for t in forward)
+        pairs = {False: [u * n + v for u, v in zip(r1, r2)]}
+    maps = {}
+
+    def letter_map(letter: Letter, k: int) -> list:
+        m = maps.get((letter, k))
+        if m is None:
+            w = n ** (k - 1 - letter.index)
+            block = [v * w + lo for v in pairs[letter.mirrored] for lo in range(w)]
+            m = maps[letter, k] = [hi + b for hi in range(0, n ** k, n * n * w)
+                                   for b in block]
+        return m
+
+    return letter_map
+
+
+@lru_cache(maxsize=_KEPT)
+def _colorings(n: int, k: int) -> tuple:
+    """The colorings of k strands by n colors, by flat index."""
+    return tuple(product(range(n), repeat=k))
+
+
 def tangle_relation(word: TangleWord, s: Singquandle) -> TangleRelation:
-    n = s.order
-    star, r1, r2 = s.star.rows, s.r1.rows, s.r2.rows
-    steps = [(let.index - 1, let.kind == KIND_SINGULAR, let.mirrored)
-             for let in word.letters]
-    outs = []
-    for colors in product(range(n), repeat=word.strands):
-        cur = list(colors)
-        for i, singular, mirrored in steps:
-            x, y = cur[i], cur[i + 1]
-            if singular:
-                cur[i], cur[i + 1] = r1[x][y], r2[x][y]
-            elif mirrored:
-                cur[i], cur[i + 1] = star[y][x], x
-            else:
-                cur[i], cur[i + 1] = y, star[x][y]
-        outs.append(tuple(cur))
-    return TangleRelation(n, word.strands, tuple(outs))
+    """The map the word induces on colorings under s, read from the tables
+    alone: each letter's map on flat color indices (_letter_maps), composed
+    top to bottom, and read off as color tuples."""
+    n, k = s.order, word.strands
+    classical = _letter_maps((s.star.rows,))
+    singular = _letter_maps((s.r1.rows, s.r2.rows))
+    flat = range(n ** k)
+    for letter in word.letters:
+        m = (singular if letter.kind == KIND_SINGULAR else classical)(letter, k)
+        flat = [m[i] for i in flat]
+    tops = _colorings(n, k)
+    return TangleRelation(n, k, tuple([tops[i] for i in flat]))
 
 
 def braid_closure(word: TangleWord) -> SingularDiagram:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -22,11 +24,13 @@ from singquandles import (
     count_colorings_bruteforce,
     count_colorings_linear,
     distinguish,
+    enumerate_singquandles,
     fig8_system_count,
     find_params,
     gen_fig9_left,
     gen_fig9_right,
     make_dihedral_quandle,
+    make_trivial_quandle,
     parse_diagram,
     parse_word,
     serialize_diagram,
@@ -42,7 +46,7 @@ from singquandles import (
     tangle_relation,
     tau,
 )
-from singquandles.coloring import _congruence_rows
+from singquandles.coloring import _congruence_rows, _loops, _skeleton, _tables
 from singquandles.cli import main
 from helpers import color_count_oracle, color_set_oracle, renumber
 
@@ -283,6 +287,31 @@ def test_distinguish_accepts_table_structures(alex543):
     assert not verdict.separated  # both count 5 over (5,4,3)
 
 
+def test_distinguish_pair_only_the_census_separates():
+    # two 3-strand closures, each with 2 components and 3 double points,
+    # that no linear structure with n <= 30 separates and one order-4 class
+    # with the trivial star does
+    a, b = (parse_word(w, 3) for w in ("t1 t1 t2", "s1 s2 t1 t2 t1"))
+    closures = [braid_closure(w) for w in (a, b)]
+    linear = [p for n in range(2, 31) for p in find_params(n)]
+    assert len(linear) == 58
+    assert not distinguish(*closures, linear).separated
+    classes = [s for n in range(1, 6)
+               for s in enumerate_singquandles(n, up_to_iso=True).structures]
+    assert len(classes) == 228
+    verdict = distinguish(*closures, classes)
+    assert (verdict.index, verdict.counts) == (10, (16, 12))
+    s = verdict.structure
+    assert s.order == 4 and s.star == make_trivial_quandle(4)
+    # a closure's colorings are the top colorings its word fixes
+    assert [fixed_points(w, s) for w in (a, b)] == [16, 12]
+    # under x * y = x a classical crossing passes both colors on whichever
+    # strand is over, so switching one keeps the count
+    for switched in ("s1' s2 t1 t2 t1", "s1 s2' t1 t2 t1", "s1' s2' t1 t2 t1"):
+        d = braid_closure(parse_word(switched, 3))
+        assert count_colorings_bruteforce(d, s).count == 12
+
+
 def test_brute_matches_oracle_under_arbitrary_tables():
     # tables that satisfy no axiom: the counter must not rely on any
     rng = random.Random(4409)
@@ -291,6 +320,62 @@ def test_brute_matches_oracle_under_arbitrary_tables():
         s = Singquandle(random_table(rng, n), random_table(rng, n),
                         random_table(rng, n))
         assert_brute_matches_oracle(random_diagram(rng), s)
+
+
+def test_one_plan_binds_to_each_structures_tables():
+    # (5, 4, 3) and (5, 4, 4) share a signature, so one plan serves both,
+    # but these closures count differently under them: a plan that kept the
+    # tables of the structure counted before it would show
+    a, b = (build_tables(AlexanderParams(5, 4, x)) for x in (3, 4))
+    assert a.star == b.star and (a.r1, a.r2) != (b.r1, b.r2)
+    assert _tables((a.r1.rows, a.r2.rows))[0] == _tables((b.r1.rows, b.r2.rows))[0]
+    diagrams = [braid_closure(parse_word(w, 2)) for w in ("s1 t1 s1", "t1 s1 s1 s1")]
+    assert [count_colorings_bruteforce(d, s).count
+            for d in diagrams for s in (a, b)] == [5, 25, 25, 5]
+    for first, second in ((a, b), (b, a)):
+        _skeleton.cache_clear()
+        for d in diagrams:
+            # the first count compiles the plan, the second reuses it
+            for s in (first, second):
+                want = color_count_oracle(d, s)
+                assert count_colorings_bruteforce(d, s).count == want
+                listed = count_colorings_bruteforce(d, s, list_colorings=True)
+                assert list(listed.colorings) == color_set_oracle(d, s)
+        info = _skeleton.cache_info()
+        assert (info.misses, info.hits) == (len(diagrams), 3 * len(diagrams))
+
+
+def test_plan_caches_stay_bounded():
+    rng = random.Random(5501)
+
+    def count(diagrams):
+        for _ in range(diagrams):
+            n = rng.randint(1, 4)
+            s = Singquandle(*(random_table(rng, n) for _ in range(3)))
+            count_colorings_bruteforce(random_diagram(rng), s)
+
+    caches = (_tables, _loops, _skeleton)
+    for cached in caches:
+        cached.cache_clear()
+    # each batch of 250 counts after a full collection, which also empties
+    # the interpreter's free lists, so what is left is what the caches hold
+    held, peaks = [], []
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            gc.collect()
+            tracemalloc.reset_peak()
+            count(250)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    for cached in caches:
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize < info.misses
+    assert max(held) - min(held) < 32 * 1024, held
+    assert max(peaks) < peaks[0] + 64 * 1024, peaks
 
 
 def test_closure_count_is_fixed_points_of_the_word(small_census):

@@ -11,8 +11,11 @@ from singquandles import (
     AlexanderParams,
     Classical,
     Letter,
+    OpTable,
+    Singquandle,
     Singular,
     SingularDiagram,
+    TangleRelation,
     TangleWord,
     braid_closure,
     build_tables,
@@ -158,3 +161,48 @@ def test_move_pairs_hold_for_linear_structures():
         s = build_tables(AlexanderParams(*args))
         for a, b in move_word_pairs().values():
             assert tangle_relation(a, s) == tangle_relation(b, s)
+
+
+def relation_oracle(word, s) -> tuple:
+    """The bottom colors of each top coloring, walked letter by letter."""
+    star, r1, r2 = s.star.rows, s.r1.rows, s.r2.rows
+    outputs = []
+    for colors in product(range(s.order), repeat=word.strands):
+        cur = list(colors)
+        for letter in word.letters:
+            i = letter.index - 1
+            x, y = cur[i], cur[i + 1]
+            if letter.kind == KIND_SINGULAR:
+                cur[i], cur[i + 1] = r1[x][y], r2[x][y]
+            elif letter.mirrored:
+                cur[i], cur[i + 1] = star[y][x], x
+            else:
+                cur[i], cur[i + 1] = y, star[x][y]
+        outputs.append(tuple(cur))
+    return tuple(outputs)
+
+
+def test_relation_matches_walk_under_arbitrary_tables():
+    # tables that satisfy no axiom; two structures per order, taken in
+    # turn, so a letter map kept from the other one would show
+    rng = random.Random(3317)
+    for n in range(1, 6):
+        structures = [Singquandle(*(OpTable(tuple(
+            tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)))
+            for _ in range(3))) for _ in range(2)]
+        for k in range(1, 5):
+            identity = tuple(product(range(n), repeat=k))
+            for length in range(9 if k > 1 else 1):
+                # letter j sits on strands (j mod (k-1)) + 1 and + 2, so
+                # the longer words put a letter at every position
+                word = TangleWord(tuple(
+                    rng.choice((sigma(i), sigma(i, mirrored=True), tau(i)))
+                    for i in (j % (k - 1) + 1 for j in range(length))), k)
+                for s in structures + structures:
+                    want = relation_oracle(word, s)
+                    rel = tangle_relation(word, s)
+                    assert rel.outputs == want
+                    assert rel == TangleRelation(n, k, want)
+                    assert all(rel.apply(c) == w for c, w in zip(identity, want))
+                    if not length:
+                        assert want == identity
