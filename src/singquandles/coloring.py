@@ -236,7 +236,8 @@ def _skeleton(diagram: SingularDiagram, unset: tuple, vacuous: tuple):
             for i in sorted(waiting):
                 if not fired[i]:
                     learned += solve(i, known, solved, ops)
-        return ops
+        # crossings that hold the same arcs as the same legs give one check
+        return list(dict.fromkeys(ops))
 
     def unlearned(x):
         """How many arcs stay unknown if x is the next seed."""

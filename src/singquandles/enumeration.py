@@ -21,19 +21,20 @@ with x = k and w = k*y, it reads r1(k, c) = r1(w, c*y) * y, so a placed
 row w forces all of row k.  Each row's candidates are indexed by bitmasks
 per (entry, value set), so dropping the rows that break one of these takes
 a few integer ANDs.  A row that is kept is then checked against the
-rotation identities whose rows are now all placed.  The search prunes with
-nothing else: the full checker alone decides riva, rivb-r2 and the rest of
-rv-r2 and rivb-r1.  Each step drops only rows that the checker would
-reject, so the structures and their order are unchanged.
+rotation identities whose rows are now all placed.  Besides the orbit test
+below, the search prunes with nothing else: the full checker alone decides
+riva, rivb-r2 and the rest of rv-r2 and rivb-r1.  Each of these steps
+drops only rows that the checker would reject.
 
-The search yields each verified r1 as a tuple of rows, in lexicographic
-order; tables are built only for a candidate the checker judges and for
-what the public functions return.  The checker runs once per orbit of
-Aut(star), the relabellings fixing the star table, on the first, so least,
-member met.  Such a relabelling keeps the star, commutes with r2 =
-derive_r2(star, r1) and keeps every axiom (each a universally quantified
-equation), so the orbit of a passing r1 goes in a set, and a later
-candidate found there is accepted unchecked.  A relabelling between two
+The search meets r1 in lexicographic order, and builds tables only for a
+candidate the checker judges and for what the public functions return.  It
+is an orderly generation (R. C. Read, "Every one a winner", Ann. Discrete
+Math. 2, 1978) over Aut(star), the relabellings fixing the star table: a
+prefix test cuts every subtree with no least member of its orbit, so the
+search reaches only the least r1 of each.  Such a relabelling keeps the
+star, commutes with r2 = derive_r2(star, r1) and keeps every axiom (each a
+universally quantified equation), so the checker runs once per orbit, and
+a passing r1 is yielded with its whole orbit.  A relabelling between two
 structures with the same star lies in Aut(star), so each isomorphism class
 meets the least star of its star's class in one such orbit, whose least
 member is the class's canonical form.
@@ -127,8 +128,8 @@ def _value_masks(domain, n: int) -> list:
 
 
 def _verified_r1(star: OpTable):
-    """Yield (r1, first) per verified structure with this star, r1 as rows in
-    lexicographic order, first true for the least of each Aut(star) orbit."""
+    """Yield (r1, orbit) per Aut(star) orbit of verified r1 with this star,
+    r1 as rows, the least of its orbit, in lexicographic order."""
     n = star.order
     srows = star.rows
     domains = [_square_roots(n).get(column) for column in zip(*srows)]
@@ -139,12 +140,14 @@ def _verified_r1(star: OpTable):
     # left[a][u]: the set of c with a*c == u
     left = [[sum(1 << c for c in range(n) if srows[a][c] == u) for u in range(n)]
             for a in range(n)]
-
+    # Aut(star), each g with its inverse
+    automorphisms = [(g, tuple(sorted(range(n), key=g.__getitem__)))
+                     for g in permutations(range(n)) if all(
+                         g[srows[x][y]] == srows[g[x]][g[y]]
+                         for x in range(n) for y in range(n))]
+    # a relabelled r1's rows lie in its columns' domains: share their tuples
+    shared = {p: p for d in domains for p in d}
     rows = [None] * n
-    # the Aut(star) relabellings of verified r1 not yet met, as flat bytes keys
-    # (tuples take 4 times the memory; the order-5 trivial star holds 12,218)
-    verified = set()
-    automorphisms = None
 
     def candidates(k: int) -> int:
         """The rows in domains[k], as a bitmask, that break none of the
@@ -206,23 +209,32 @@ def _verified_r1(star: OpTable):
                         return False
         return True
 
+    def moved(g, inv, i: int) -> tuple:
+        """Row i of g.R: row inv[i] of R at columns inv, relabelled by g."""
+        row = rows[inv[i]]
+        return tuple([g[row[y]] for y in inv])
+
+    def least_so_far(k: int) -> bool:
+        """False if some g.R is smaller than R at the first row that differs,
+        read from row 0 while rows i and inv[i] are placed: then no
+        completion of rows 0..k is least in its orbit."""
+        for g, inv in automorphisms:
+            for i in range(k + 1):
+                if inv[i] > k:
+                    break
+                row = moved(g, inv, i)
+                if row != rows[i]:
+                    if row < rows[i]:
+                        return False
+                    break
+        return True
+
     def place(k: int):
-        nonlocal automorphisms
         if k == n:
-            key = bytes(sum(rows, ()))
-            first = key not in verified
-            if not first:
-                verified.remove(key)
-            elif check_all(_build(star, OpTable(tuple(rows)))).all_hold:
-                if automorphisms is None:
-                    automorphisms = [g for g in permutations(range(n)) if all(
-                        g[srows[x][y]] == srows[g[x]][g[y]]
-                        for x in range(n) for y in range(n))]
-                verified.update(bytes(_relabelled((rows,), g)) for g in automorphisms)
-                verified.discard(key)
-            else:
-                return
-            yield tuple(rows), first
+            if check_all(_build(star, OpTable(tuple(rows)))).all_hold:
+                yield tuple(rows), {
+                    tuple([shared[moved(g, inv, i)] for i in range(n)])
+                    for g, inv in automorphisms}
             return
         domain = domains[k]
         todo = candidates(k)
@@ -230,7 +242,7 @@ def _verified_r1(star: OpTable):
             low = todo & -todo
             todo ^= low
             rows[k] = domain[low.bit_length() - 1]
-            if consistent(k):
+            if consistent(k) and least_so_far(k):
                 yield from place(k + 1)
         rows[k] = None
 
@@ -242,7 +254,8 @@ def _verified_r1(star: OpTable):
 
 def singquandles_for_star(star: OpTable) -> list:
     """All verified structures with the given star table."""
-    return [_build(star, OpTable(r1)) for r1, _ in _verified_r1(star)]
+    return [_build(star, OpTable(r1)) for r1 in
+            sorted(r1 for _, orbit in _verified_r1(star) for r1 in orbit)]
 
 
 @dataclass(frozen=True)
@@ -255,11 +268,11 @@ class Census:
 def enumerate_singquandles(n: int, up_to_iso: bool = False) -> Census:
     """Complete census of order-n structures; hard order limit MAX_ORDER.
 
-    Up to isomorphism the classes are read off the search: a relabelling
-    between structures with the same star lies in Aut(star), so each class
-    meets the least star of its star's class in one Aut(star) orbit, whose
-    first member met is least, as r1 is met in lexicographic order.  The
-    stars are sorted by rows, not columns, so the classes come out sorted."""
+    The labelled count sums the orbits the search yields, and up to
+    isomorphism the classes are read off it: a relabelling between
+    structures with the same star lies in Aut(star), so each class meets the
+    least star of its star's class in one orbit, yielded with its least
+    member.  The stars are sorted by rows, so the classes come out sorted."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")
     count = 0
@@ -267,9 +280,9 @@ def enumerate_singquandles(n: int, up_to_iso: bool = False) -> Census:
     for star in sorted(involutive_quandles(n), key=lambda t: t.rows):
         # whether the star is least in its class, tested only once it yields
         least = None
-        for r1, first in _verified_r1(star):
-            count += 1
-            if up_to_iso and first:
+        for r1, orbit in _verified_r1(star):
+            count += len(orbit)
+            if up_to_iso:
                 if least is None:
                     least = _least((star.rows,)) == sum(star.rows, ())
                 if least:

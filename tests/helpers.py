@@ -10,6 +10,7 @@ in test_axioms.
 from __future__ import annotations
 
 from itertools import product
+from math import factorial
 
 from singquandles import (
     KIND_SINGULAR,
@@ -218,3 +219,90 @@ def word_matrix(word, p):
         acc[i:i + 2] = [[(a * x + b * y) % p.n for x, y in zip(top, bottom)]
                         for a, b in block]
     return acc
+
+
+def trivial_star_count(n: int, g=None) -> int:
+    """How many r1 tables make a structure with the trivial star x * y = x,
+    counted with no code from the census or the axiom checker; with a
+    permutation g, only the r1 that g fixes (g.R = R, that is
+    R(g(x), g(y)) = g(R(x, y))), which is Fix(g) in Burnside's lemma.
+
+    Write R for r1 and R_x for its row x.  Under x * y = x such an r1 is
+    exactly a table with
+      (I) every row R_x an involution, and
+      (C) R_x(y) = R_{R_y(x)}(y) for all x, y: column y is constant on the
+          orbits of R_y.
+
+    Proof.  The move axiom rv-r1, r1(x, y) = r2(y * x, x) = r2(y, x), fixes
+    r2(x, y) = R(y, x).  With r2 so, and every product a * b replaced by a,
+    each move axiom reads t = t: riva y = y, rv-r2 R(y, x) = R(y, x),
+    rivb-r1 R(x, z) = R(x, z), rivb-r2 R(z, x) = R(z, x); and the trivial
+    star is an involutive quandle.  The rotation axioms read
+      x-via-r1  R(y, R(y, x)) = x,            y-via-r2  R(x, R(x, y)) = y,
+      outputs   R(x, y) = R(R(y, x), y)  and  R(y, x) = R(R(x, y), x),
+      x-via-r2  R(R(x, y), R(y, x)) = x,      y-via-r1  R(R(y, x), R(x, y)) = y.
+    The first pair is (I), and each half of outputs is (C) for (x, y) or
+    for (y, x).  Given (I) and (C), put v = R(x, y) and u = R(y, x); (C) at
+    (y, x) gives R_v(x) = u, and as R_v is an involution R_v(u) = x, which
+    is x-via-r2; y-via-r1 is x-via-r2 with x and y swapped.  So the axioms
+    hold if and only if (I) and (C) do.
+
+    The rows are placed one at a time among the involutions of range(n),
+    and each row is kept only if (C), and g.R = R, hold on every instance
+    whose rows are all placed.
+    """
+    g = tuple(range(n)) if g is None else tuple(g)
+    involutions = [p for p in product(range(n), repeat=n)
+                   if all(p[p[i]] == i for i in range(n))]
+    rows = [None] * n
+
+    def fits(k: int) -> bool:
+        for x in range(k + 1):
+            gx = g[x]
+            # row g(x) of R is g R_x g^-1
+            if gx <= k and k in (x, gx) and any(
+                    rows[gx][g[y]] != g[rows[x][y]] for y in range(n)):
+                return False
+            for y in range(k + 1):
+                w = rows[y][x]
+                if w <= k and k in (x, y, w) and rows[x][y] != rows[w][y]:
+                    return False
+        return True
+
+    def place(k: int) -> int:
+        if k == n:
+            return 1
+        total = 0
+        for row in involutions:
+            rows[k] = row
+            if fits(k):
+                total += place(k + 1)
+        rows[k] = None
+        return total
+
+    return place(0)
+
+
+def cycle_types(n: int) -> list:
+    """(g, size) for each cycle type of S_n, the identity first: g has its
+    cycles on consecutive labels from 0, longest first, and size is the
+    number of permutations of that type, n! / (L^m m!) over each cycle
+    length L met m times."""
+    def partitions(rest: int, most: int):
+        if rest == 0:
+            yield ()
+        for length in range(1, min(rest, most) + 1):
+            for tail in partitions(rest - length, length):
+                yield (length,) + tail
+
+    types = []
+    for lengths in partitions(n, n):
+        g, size = [], factorial(n)
+        for length in lengths:
+            start = len(g)
+            g += [start + (i + 1) % length for i in range(length)]
+        for length in set(lengths):
+            m = lengths.count(length)
+            size //= length ** m * factorial(m)
+        types.append((tuple(g), size))
+    return types

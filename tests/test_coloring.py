@@ -33,6 +33,7 @@ from singquandles import (
     make_trivial_quandle,
     parse_diagram,
     parse_word,
+    rotate_singular,
     serialize_diagram,
     serialize_report,
     OpTable,
@@ -46,7 +47,8 @@ from singquandles import (
     tangle_relation,
     tau,
 )
-from singquandles.coloring import _congruence_rows, _loops, _skeleton, _tables
+from singquandles.coloring import (_congruence_rows, _loops, _skeleton,
+                                   _tables, _vacuous)
 from singquandles.cli import main
 from helpers import color_count_oracle, color_set_oracle, renumber
 
@@ -320,6 +322,31 @@ def test_brute_matches_oracle_under_arbitrary_tables():
         s = Singquandle(random_table(rng, n), random_table(rng, n),
                         random_table(rng, n))
         assert_brute_matches_oracle(random_diagram(rng), s)
+
+
+def test_no_plan_checks_one_thing_twice():
+    # a quarter-turned fig9-left holds arcs 3 and 0 as the same legs of both
+    # its crossings, and its plans once filtered them twice, under 225 of the
+    # 228 classes of orders 1-5
+    classes = [s for n in range(1, 6)
+               for s in enumerate_singquandles(n, up_to_iso=True).structures]
+    turned = [rotate_singular(d, i) for i in (0, 1)
+              for d in (gen_fig9_left(), gen_fig9_right())]
+    rng = random.Random(7717)
+    cases = [(d, s) for d in turned for s in classes]
+    cases += [(random_diagram(rng), Singquandle(*(random_table(rng, n)
+                                                  for _ in range(3))))
+              for n in (1, 2, 3, 4) for _ in range(100)]
+    for d, s in cases:
+        # the plan as _compile finds it, before its slots are bound to tables
+        unset = (_tables((s.star.rows,))[0],
+                 _tables((s.r1.rows, s.r2.rows))[0])
+        vacuous = tuple(i for i in _loops(d) if _vacuous(d.crossings[i], s))
+        plan, _ = _skeleton(d, unset, vacuous)
+        ops = [op for _, step in plan for op in step]
+        assert len(set(ops)) == len(ops), (d, plan)
+        want = color_count_oracle(d, s)
+        assert count_colorings_bruteforce(d, s).count == want
 
 
 def test_one_plan_binds_to_each_structures_tables():

@@ -6,6 +6,7 @@ import random
 import sys
 import tracemalloc
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -29,7 +30,8 @@ from singquandles import (
     singquandles_for_star,
 )
 import singquandles.enumeration as enumeration
-from helpers import involutive_quandle_tables_oracle
+from helpers import (cycle_types, involutive_quandle_tables_oracle,
+                     trivial_star_count)
 
 
 def flat(s: Singquandle) -> tuple:
@@ -107,6 +109,54 @@ def test_census_is_closed_under_star_automorphisms():
                 assert all(moved_key(s, g) in keys for s in got)
 
 
+def test_search_yields_each_orbit_once_by_its_least_member():
+    # each yield is (r1, orbit): r1 the least member of its Aut(star) orbit,
+    # met in increasing order, and no structure is in two orbits
+    for n in (1, 2, 3, 4):
+        for star in involutive_quandles(n):
+            aut = star_automorphisms(star)
+            got = list(enumeration._verified_r1(star))
+            assert [r1 for r1, _ in got] == sorted(min(o) for _, o in got)
+            met = set()
+            for r1, orbit in got:
+                s = enumeration._build(star, OpTable(r1))
+                assert r1 == min(orbit)
+                assert ({moved_key(s, g) for g in aut} == {
+                    flat(enumeration._build(star, OpTable(r))) for r in orbit})
+                assert met.isdisjoint(orbit)
+                met |= orbit
+
+
+def test_search_memory_does_not_grow_with_the_labelled_count():
+    # the order-5 trivial star has 16,380 structures in 200 orbits; a set
+    # of the relabellings of the structures met took 1,762 KiB
+    tracemalloc.start()
+    try:
+        for _ in enumeration._verified_r1(make_trivial_quandle(5)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 2**10, peak
+
+
+def test_trivial_star_matches_an_independent_count(classes5):
+    # trivial_star_count reads the axioms under x * y = x as two conditions
+    # on r1 (its docstring has the proof), and shares no code with the
+    # census; Burnside's lemma turns its counts of the r1 each permutation
+    # fixes into the number of classes
+    for n, labelled, classes in zip(range(1, 6), (1, 2, 10, 198, 16380),
+                                    (1, 2, 4, 19, 200)):
+        trivial = make_trivial_quandle(n)
+        fixed = [size * trivial_star_count(n, g) for g, size in cycle_types(n)]
+        assert sum(size for _, size in cycle_types(n)) == factorial(n)
+        assert fixed[0] == len(singquandles_for_star(trivial)) == labelled, n
+        census = (classes5 if n == 5
+                  else enumerate_singquandles(n, up_to_iso=True))
+        assert sum(s.star == trivial for s in census.structures) == classes, n
+        assert sum(fixed) == classes * factorial(n), n
+
+
 def test_check_all_runs_once_per_orbit(monkeypatch):
     checked = []
 
@@ -165,10 +215,11 @@ def star_moving_column_5(column) -> OpTable:
 # depth 0-5 that the search behind singquandles_for_star makes on them.  A
 # change to the pruning may update these counts, but keeps them under
 # NODE_BOUND.  Before the rivb-r1 forcing, star (0 2)(1 3) took 1, 76, 3996,
-# 94992, 748348, 2187910.
+# 94992, 748348, 2187910; before the orbit test, 1, 76, 3996, 1920, 1108,
+# 7192, and star (0 1)(2 3) took 1, 76, 76, 1856, 1216, 7840.
 NODES_6 = {
-    (1, 0, 3, 2, 4, 5): [1, 76, 76, 1856, 1216, 7840],
-    (2, 3, 0, 1, 4, 5): [1, 76, 3996, 1920, 1108, 7192],
+    (1, 0, 3, 2, 4, 5): [1, 48, 48, 609, 433, 1921],
+    (2, 3, 0, 1, 4, 5): [1, 48, 1127, 573, 377, 1720],
 }
 NODE_BOUND = 10_000
 

@@ -19,6 +19,8 @@ from singquandles import (
     TangleWord,
     braid_closure,
     build_tables,
+    enumerate_singquandles,
+    make_trivial_quandle,
     move_word_pairs,
     parse_word,
     sigma,
@@ -206,3 +208,27 @@ def test_relation_matches_walk_under_arbitrary_tables():
                     assert all(rel.apply(c) == w for c, w in zip(identity, want))
                     if not length:
                         assert want == identity
+
+
+def test_trivial_star_classes_cannot_see_crossing_switches():
+    # under x * y = x both s_i and s_i' carry (x, y) to (y, x), so a class
+    # with the trivial star sees the double points and how they sit along
+    # the strands, and nothing of which strand passes over
+    rng = random.Random(6121)
+    classes = [s for n in range(1, 6)
+               for s in enumerate_singquandles(n, up_to_iso=True).structures
+               if s.star == make_trivial_quandle(n)]
+    assert len(classes) == 1 + 2 + 4 + 19 + 200
+    for s in classes:
+        k = rng.randint(2, 3)
+        letters = [rng.choice((sigma, tau))(rng.randint(1, k - 1))
+                   for _ in range(rng.randint(1, 7))]
+        classical = [j for j, letter in enumerate(letters)
+                     if letter.kind != KIND_SINGULAR]
+        want = tangle_relation(TangleWord(tuple(letters), k), s)
+        for m in range(1 << len(classical)):
+            switched = list(letters)
+            for bit, j in enumerate(classical):
+                if m >> bit & 1:
+                    switched[j] = sigma(letters[j].index, mirrored=True)
+            assert tangle_relation(TangleWord(tuple(switched), k), s) == want
