@@ -13,18 +13,29 @@ Both are consequences of the axioms (the first from the move axiom relating
 r1 and r2, the second from that plus the rotation axiom returning y), so
 restricting the search this way loses nothing.
 
+For such tables the five rotation axioms reduce to one identity,
+r2(x, y) = r1(r1(x, y), x).  Write R_x for row x of r1, S_x(z) = z*x,
+v = r1(x, y) and u = r2(x, y): then R_x R_x = S_x, S_x S_x = id,
+u = R_y S_y(x), and R_v commutes with S_v = R_v R_v.  So r1(y, u) = x,
+r2(v, x) = R_x S_x R_x(y) = y and r2(y*x, x) = r1(x, y) always hold
+(rotation-x-via-r1, rotation-y-via-r2, rv-r1).  rotation-x-via-r2,
+x = R_v S_v(u) = R_v^3(u), holds iff u = R_v(x) (apply R_v): the identity.
+rotation-y-via-r1, y = R_u(v), holds iff v = R_u^3(y) = r2(y, u), the
+other half of rotation-outputs.  Where the identity holds at (x, y), it
+reads y = R_u(v) at the pair (v, x), as r1(v, x) = u and r2(v, x) = y.
+
 Before row k is tried, a forward check works out from rows 0..k-1 which
-values each entry of row k may still take.  It uses the instances of a
-rotation identity and of the move axiom rv-r2 whose only unknown is one
-entry of row k, and the move axiom rivb-r1, r1(x*y, z) * y = r1(x, z*y):
-with x = k and w = k*y, it reads r1(k, c) = r1(w, c*y) * y, so a placed
-row w forces all of row k.  Each row's candidates are indexed by bitmasks
-per (entry, value set), so dropping the rows that break one of these takes
-a few integer ANDs.  A row that is kept is then checked against the
-rotation identities whose rows are now all placed.  Besides the orbit test
-below, the search prunes with nothing else: the full checker alone decides
-riva, rivb-r2 and the rest of rv-r2 and rivb-r1.  Each of these steps
-drops only rows that the checker would reject.
+values each entry of row k may still take.  It uses the instances of the
+identity and of the move axiom rv-r2 whose only unknown is one entry of
+row k, and the move axiom rivb-r1, r1(x*y, z) * y = r1(x, z*y): with
+x = k and w = k*y, it reads r1(k, c) = r1(w, c*y) * y, so a placed row w
+forces all of row k.  Each row's candidates are indexed by bitmasks per
+(entry, value set), so dropping the rows that break one of these takes a
+few integer ANDs.  A row that is kept is then checked against the identity
+at the pairs whose rows are now all placed.  Besides the orbit test below,
+the search prunes with nothing else: the full checker alone decides riva,
+rivb-r2 and the rest of rv-r2 and rivb-r1.  Each of these steps drops only
+rows that the checker would reject.
 
 The search meets r1 in lexicographic order, and builds tables only for a
 candidate the checker judges and for what the public functions return.  It
@@ -152,10 +163,10 @@ def _verified_r1(star: OpTable):
     def candidates(k: int) -> int:
         """The rows in domains[k], as a bitmask, that break none of the
         instances whose unknowns are entries of row k; rows 0..k-1 are
-        placed.  With v = r1(x,y) and u = r2(x,y), the instances are the
-        rotation (d) u = r1(v, x), rv-r2 (e) u = r1(w, x) * r2(w, x) with
-        w = y*x, and rivb-r1 (f) r1(x*y, z) * y = r1(x, z*y).
-        """
+        placed.  With v = r1(x,y) and u = r2(x,y), the instances are (d)
+        u = r1(v, x), the forward form of the identity that consistent
+        keeps, rv-r2 (e) u = r1(w, x) * r2(w, x) with w = y*x, and rivb-r1
+        (f) r1(x*y, z) * y = r1(x, z*y)."""
         allowed = [every_value] * n     # the values left for each entry of row k
         sk = srows[k]
         for j in range(k):
@@ -186,27 +197,14 @@ def _verified_r1(star: OpTable):
         return todo
 
     def consistent(k: int) -> bool:
-        # check every rotation instance whose involved rows are placed, row
-        # k among them; the rows placed are 0..k
+        # the identity at each pair whose rows x, y, r1(x,y) are in 0..k, k too
         placed = range(k + 1)
         for x in placed:
             rx = rows[x]
             for y in placed:
-                top = x == k or y == k
-                v = rx[y]                      # r1(x, y)
-                u = rows[y][srows[x][y]]       # r2(x, y)
-                if v <= k and (top or v == k):
-                    rv = rows[v]
-                    # returning x via r2: x = r2(r2(x,y), r1(x,y))
-                    # rotated outputs: r2(x,y) = r1(r1(x,y), x)
-                    if rv[srows[u][v]] != x or rv[x] != u:
-                        return False
-                if u <= k and (top or u == k):
-                    ru = rows[u]
-                    # returning y via r1: y = r1(r2(x,y), r1(x,y))
-                    # rotated outputs: r1(x,y) = r2(y, r2(x,y))
-                    if ru[v] != y or ru[srows[y][u]] != v:
-                        return False
+                v = rx[y]
+                if v <= k and k in (x, y, v) and rows[v][x] != rows[y][srows[x][y]]:
+                    return False
         return True
 
     def moved(g, inv, i: int) -> tuple:
@@ -214,22 +212,23 @@ def _verified_r1(star: OpTable):
         row = rows[inv[i]]
         return tuple([g[row[y]] for y in inv])
 
-    def least_so_far(k: int) -> bool:
-        """False if some g.R is smaller than R at the first row that differs,
-        read from row 0 while rows i and inv[i] are placed: then no
-        completion of rows 0..k is least in its orbit."""
-        for g, inv in automorphisms:
-            for i in range(k + 1):
-                if inv[i] > k:
-                    break
-                row = moved(g, inv, i)
-                if row != rows[i]:
-                    if row < rows[i]:
-                        return False
-                    break
-        return True
+    def least_so_far(k: int, live: list):
+        """The g in ``live`` whose g.R is not yet larger than R, read from
+        row 0 while rows i and inv[i] are placed (a larger row stays larger;
+        the identity stays); none if some g.R is smaller at the first row
+        that differs: no completion of rows 0..k is least in its orbit."""
+        still = []
+        for g, inv in live:
+            i = 0
+            while i <= k and inv[i] <= k and (row := moved(g, inv, i)) == rows[i]:
+                i += 1
+            if i > k or inv[i] > k:
+                still.append((g, inv))
+            elif row < rows[i]:
+                return []
+        return still
 
-    def place(k: int):
+    def place(k: int, live: list):
         if k == n:
             if check_all(_build(star, OpTable(tuple(rows)))).all_hold:
                 yield tuple(rows), {
@@ -242,12 +241,12 @@ def _verified_r1(star: OpTable):
             low = todo & -todo
             todo ^= low
             rows[k] = domain[low.bit_length() - 1]
-            if consistent(k) and least_so_far(k):
-                yield from place(k + 1)
+            if consistent(k) and (still := least_so_far(k, live)):
+                yield from place(k + 1, still)
         rows[k] = None
 
     try:
-        yield from place(0)
+        yield from place(0, automorphisms)
     finally:
         del place  # place refers to itself; drop that cycle now
 

@@ -177,6 +177,21 @@ def test_linear_matches_oracle_on_random_diagrams():
         assert list(report.colorings) == color_set_oracle(diagram, build_tables(p))
 
 
+def test_three_counts_agree_on_random_diagrams():
+    # diagrams that are not braid closures, under every valid linear
+    # structure of order <= 8: brute force, linear and the oracle
+    rng = random.Random(3187)
+    params = [p for n in range(1, 9) for p in find_params(n)]
+    assert len(params) == 12
+    for p in params:
+        s = build_tables(p)
+        for _ in range(25):
+            diagram = random_diagram(rng)
+            assert (count_colorings_bruteforce(diagram, s).count
+                    == count_colorings_linear(diagram, p).count
+                    == color_count_oracle(diagram, s)), (p, diagram)
+
+
 def test_count_invariance_under_arc_relabeling(alex543):
     # swapping two semiarc labels everywhere cannot change the count
     d = gen_fig9_right()

@@ -5,7 +5,7 @@ import hashlib
 import random
 import sys
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -14,12 +14,14 @@ from singquandles import (
     AlexanderParams,
     Census,
     OpTable,
+    ROTATION_AXIOMS,
     Singquandle,
     build_tables,
     canonical_form,
     check_all,
     derive_r2,
     enumerate_singquandles,
+    evaluate_axiom,
     find_params,
     involutive_quandles,
     is_isomorphic,
@@ -211,12 +213,12 @@ def star_moving_column_5(column) -> OpTable:
                          for x in range(6)))
 
 
-# Order-6 stars that yield no structure, with the inner place() calls per
-# depth 0-5 that the search behind singquandles_for_star makes on them.  A
-# change to the pruning may update these counts, but keeps them under
-# NODE_BOUND.  Before the rivb-r1 forcing, star (0 2)(1 3) took 1, 76, 3996,
-# 94992, 748348, 2187910; before the orbit test, 1, 76, 3996, 1920, 1108,
-# 7192, and star (0 1)(2 3) took 1, 76, 76, 1856, 1216, 7840.
+# Order-6 stars that yield no structure, with the search nodes per depth 0-5
+# (search_nodes) that singquandles_for_star makes on them.  A change to the
+# pruning may update these counts, but keeps them under NODE_BOUND.  Before
+# the rivb-r1 forcing, star (0 2)(1 3) took 1, 76, 3996, 94992, 748348,
+# 2187910; before the orbit test, 1, 76, 3996, 1920, 1108, 7192, and star
+# (0 1)(2 3) took 1, 76, 76, 1856, 1216, 7840.
 NODES_6 = {
     (1, 0, 3, 2, 4, 5): [1, 48, 48, 609, 433, 1921],
     (2, 3, 0, 1, 4, 5): [1, 48, 1127, 573, 377, 1720],
@@ -233,38 +235,98 @@ YIELDS_6 = [
       (2, 2, 0, 3, 3, 0), (5, 5, 1, 4, 4, 1), (4, 4, 5, 1, 1, 5)), 4),
 ]
 
+# Search nodes per depth at orders 1-5, summed over every star
+NODES_1_TO_5 = [[1, 1], [1, 2, 2], [1, 3, 6, 4], [1, 4, 12, 25, 19],
+                [32, 266, 964, 578, 431, 212]]
 
-def place_calls(star: OpTable) -> list:
-    """Calls of the search's inner place() per depth on ``star``, a star
-    that yields nothing; raises AssertionError as soon as one depth passes
-    NODE_BOUND."""
-    place = next(c for c in enumeration._verified_r1.__code__.co_consts
-                 if getattr(c, "co_name", None) == "place")
-    calls = [0] * (star.order + 1)
+
+def search_nodes(stars, monkeypatch) -> tuple:
+    """The search's nodes per depth summed over ``stars`` of one order n,
+    and the number of structures listed.  The nodes at depth k < n are the
+    calls of its inner candidates(k), those at depth n the check_all calls.
+    Raises AssertionError as soon as one depth passes NODE_BOUND."""
+    candidates = next(c for c in enumeration._verified_r1.__code__.co_consts
+                      if getattr(c, "co_name", None) == "candidates")
+    nodes = [0] * (stars[0].order + 1)
+
+    def leaf(s):
+        nodes[-1] += 1
+        return check_all(s)
 
     def hook(frame, event, arg):
-        if frame.f_code is place:
+        if frame.f_code is candidates:
             k = frame.f_locals["k"]
-            calls[k] += 1
-            if calls[k] > NODE_BOUND:
-                raise AssertionError(f"over {NODE_BOUND} nodes at depth {k}: {calls}")
+            nodes[k] += 1
+            if nodes[k] > NODE_BOUND:
+                raise AssertionError(f"over {NODE_BOUND} nodes at depth {k}: {nodes}")
 
+    monkeypatch.setattr(enumeration, "check_all", leaf)
     previous = sys.gettrace()
     sys.settrace(hook)
     try:
-        assert singquandles_for_star(star) == []
+        listed = sum(len(singquandles_for_star(star)) for star in stars)
     finally:
         sys.settrace(previous)
-    return calls
+    return nodes, listed
 
 
-def test_order_6_search_nodes_are_bounded():
+def test_order_6_search_nodes_are_bounded(monkeypatch):
     # a count of search nodes does not depend on the machine's speed
     for column, nodes in NODES_6.items():
-        star = star_moving_column_5(column)
-        assert place_calls(star)[:6] == nodes, column
+        got, listed = search_nodes([star_moving_column_5(column)], monkeypatch)
+        assert (got[:6], listed) == (nodes, 0), column
     for rows, count in YIELDS_6:
         assert len(singquandles_for_star(OpTable(rows))) == count
+
+
+def test_search_nodes_per_depth_are_pinned(monkeypatch):
+    # the search tree at orders 1-5, also where a star yields
+    for n, nodes in enumerate(NODES_1_TO_5, 1):
+        assert search_nodes(involutive_quandles(n), monkeypatch)[0] == nodes, n
+
+
+def holds_at(s: Singquandle, name: str, *args) -> bool:
+    lhs, rhs = evaluate_axiom(s, name, args)
+    return lhs == rhs
+
+
+def test_rotation_axioms_reduce_to_one_identity():
+    # rows of r1 that are square roots of the star's columns, with
+    # r2 = derive_r2: the module docstring of enumeration proves that the
+    # rotation axioms then reduce to r2(x, y) = r1(r1(x, y), x)
+    rng = random.Random(1978)
+    tables = everywhere = 0
+    for n in range(1, 6):
+        roots = enumeration._square_roots(n)
+        for star in involutive_quandles(n):
+            domains = [roots.get(column) for column in zip(*star.rows)]
+            if not all(domains):
+                continue
+            for _ in range(20):
+                r1 = OpTable(tuple(rng.choice(d) for d in domains))
+                s = Singquandle(star, r1, derive_r2(star, r1))
+                report = check_all(s)
+                for name in ("rotation-x-via-r1", "rotation-y-via-r2", "rv-r1"):
+                    assert report.result(name).holds, (s, name)
+
+                identity = {}
+                for x, y in product(range(n), repeat=2):
+                    # the r2 half of rotation-outputs is the identity
+                    (v, u), (r1_side, r2_side) = evaluate_axiom(
+                        s, "rotation-outputs", (x, y))
+                    identity[x, y] = u == r2_side
+                    assert holds_at(s, "rotation-x-via-r2", x, y) == identity[x, y]
+                    assert holds_at(s, "rotation-y-via-r1", x, y) == (v == r1_side)
+                for (x, y), held in identity.items():
+                    if held:
+                        assert (holds_at(s, "rotation-y-via-r1", x, y)
+                                == identity[r1.rows[x][y], x]), (s, x, y)
+                if all(identity.values()):
+                    everywhere += 1
+                    for name in ROTATION_AXIOMS:
+                        assert report.result(name).holds, (s, name)
+                tables += 1
+    assert (tables, everywhere) == (720, 39)
 
 
 # sha256 over the stars of one order, in the order involutive_quandles lists
