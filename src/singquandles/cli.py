@@ -17,10 +17,10 @@ from .axioms import check_all, check_table
 from .coloring import (DEFAULT_LIST_CAP, count_colorings_bruteforce,
                        count_colorings_linear, distinguish, fig8_system_count,
                        serialize_report)
-from .diagrams import (DiagramParseError, gen_fig9_left, gen_fig9_right,
-                       parse_diagram, serialize_diagram)
+from .diagrams import (gen_fig9_left, gen_fig9_right, parse_diagram,
+                       serialize_diagram)
 from .enumeration import MAX_ORDER, enumerate_singquandles, serialize_census
-from .tables import (OpTable, Singquandle, TableParseError, parse_tables,
+from .tables import (OpTable, ParseError, Singquandle, parse_tables,
                      serialize_tables)
 from .tangles import KIND_SINGULAR, braid_closure, parse_word
 
@@ -85,17 +85,10 @@ def _read_file(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _load_tables(path: str, one_indexed: bool):
+def _load(parse, path: str, **options):
     try:
-        return parse_tables(_read_file(path), one_indexed=one_indexed)
-    except TableParseError as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
-
-
-def _load_diagram(path: str):
-    try:
-        return parse_diagram(_read_file(path))
-    except DiagramParseError as exc:
+        return parse(_read_file(path), **options)
+    except ParseError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
@@ -115,7 +108,7 @@ def _print_axioms(report) -> None:
 
 
 def cmd_check(ns) -> int:
-    obj = _load_tables(ns.tables, ns.one_indexed)
+    obj = _load(parse_tables, ns.tables, one_indexed=ns.one_indexed)
     if isinstance(obj, Singquandle):
         report = check_all(obj)
         _print_axioms(report)
@@ -144,7 +137,7 @@ def cmd_alexander(ns) -> int:
 
 
 def cmd_color(ns) -> int:
-    diagram = _load_diagram(ns.diagram)
+    diagram = _load(parse_diagram, ns.diagram)
     if ns.alexander is not None and ns.tables is not None:
         raise _UsageError("give either a tables file or --alexander, not both")
     if ns.alexander is not None:
@@ -159,7 +152,7 @@ def cmd_color(ns) -> int:
             raise _UsageError("need a tables file or --alexander n t b")
         if ns.backend == "linear":
             raise _UsageError("the linear backend requires --alexander")
-        obj = _load_tables(ns.tables, ns.one_indexed)
+        obj = _load(parse_tables, ns.tables, one_indexed=ns.one_indexed)
         if isinstance(obj, OpTable):
             if diagram.singular_count:
                 raise _UsageError(
@@ -213,8 +206,8 @@ def cmd_distinguish(ns) -> int:
     _refuse_past_bound(ns.alexander_max_n * (ns.alexander_max_n + 1) // 2 - 1,
                        f"--alexander-max-n {ns.alexander_max_n} gives too "
                        "large a family to scan")
-    d1 = _load_diagram(ns.diagram1)
-    d2 = _load_diagram(ns.diagram2)
+    d1 = _load(parse_diagram, ns.diagram1)
+    d2 = _load(parse_diagram, ns.diagram2)
     if _count_too_long(d1, 2) or _count_too_long(d2, 2):   # n = 2 comes first
         raise _too_many_digits()
     family = [p for n in range(2, ns.alexander_max_n + 1) for p in find_params(n)]

@@ -341,7 +341,8 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     heads = sorted(kept)[:cap]
     if unread:
         heads = heapq.merge(*map(widen, heads))
-    tails = list(product(range(n), repeat=diagram.free))
+    # only the first cap tails can reach the listing
+    tails = list(islice(product(range(n), repeat=diagram.free), cap))
     listed = tuple(islice((c + t for c in heads for t in tails), cap))
     return ColoringReport(count, BACKEND_BRUTE, listed, len(listed) < count)
 
@@ -376,7 +377,7 @@ def count_colorings_linear(diagram: SingularDiagram, p: AlexanderParams,
 
     colorings = None
     if list_colorings and base <= cap:
-        tails = list(product(range(n), repeat=diagram.free))
+        tails = list(islice(product(range(n), repeat=diagram.free), cap))
         colorings = tuple(islice((v + t for v in sorted(vectors) for t in tails), cap))
     truncated = list_colorings and (colorings is None or len(colorings) < count)
     return ColoringReport(count, BACKEND_LINEAR, colorings, truncated)

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .tables import ParseError, _content_lines
 
-class DiagramParseError(ValueError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+
+class DiagramParseError(ParseError):
+    """Malformed diagram file."""
 
 
 @dataclass(frozen=True)
@@ -79,14 +77,9 @@ class SingularDiagram:
 
 
 def parse_diagram(text: str) -> SingularDiagram:
-    arcs = None
-    free = 0
+    arcs = free = None
     crossings = []
-    seen_free = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         kind, args = parts[0], parts[1:]
         if kind == "arcs":
@@ -94,9 +87,8 @@ def parse_diagram(text: str) -> SingularDiagram:
                 raise DiagramParseError("duplicate arcs line", lineno)
             arcs = _int_args(args, 1, lineno)[0]
         elif kind == "free":
-            if seen_free:
+            if free is not None:
                 raise DiagramParseError("duplicate free line", lineno)
-            seen_free = True
             free = _int_args(args, 1, lineno)[0]
         elif kind == "X":
             crossings.append(Classical(*_int_args(args, 3, lineno)))
@@ -107,7 +99,7 @@ def parse_diagram(text: str) -> SingularDiagram:
     if arcs is None:
         raise DiagramParseError("missing arcs line")
     try:
-        return SingularDiagram(arcs, tuple(crossings), free)
+        return SingularDiagram(arcs, tuple(crossings), free or 0)
     except ValueError as exc:
         raise DiagramParseError(str(exc)) from exc
 

@@ -28,12 +28,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class TableParseError(ValueError):
-    """Malformed table file; ``line`` is the 1-based offending line number."""
+class ParseError(ValueError):
+    """Malformed input file; ``line`` is the 1-based offending line number."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+
+
+class TableParseError(ParseError):
+    """Malformed table file."""
+
+
+def _content_lines(text: str):
+    """Yield (1-based line number, content) for each line of text that is
+    not empty once its ``#`` comment is cut and it is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield lineno, content
 
 
 @dataclass(frozen=True)
@@ -102,28 +115,13 @@ class Singquandle:
 _BLOCKS = ("star", "r1", "r2")
 
 
-def _strip(raw: str) -> str:
-    return raw.split("#", 1)[0].strip()
-
-
 def parse_tables(text: str, one_indexed: bool = False):
     """Parse a table file.  Returns OpTable (bare quandle) or Singquandle.
 
     With one_indexed=True entries are expected in 1..n and shifted down.
     """
-    lines = text.splitlines()
-    pos = 0
-
-    def next_content() -> tuple[int, str] | None:
-        nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            content = _strip(lines[pos - 1])
-            if content:
-                return pos, content
-        return None
-
-    first = next_content()
+    lines = _content_lines(text)
+    first = next(lines, None)
     if first is None:
         raise TableParseError("empty table file")
     lineno, content = first
@@ -139,19 +137,14 @@ def parse_tables(text: str, one_indexed: bool = False):
 
     lo, hi = (1, n) if one_indexed else (0, n - 1)
     blocks: dict[str, OpTable] = {}
-    while True:
-        header = next_content()
-        if header is None:
-            break
-        lineno, content = header
-        name = content.strip()
+    for lineno, name in lines:
         if name not in _BLOCKS:
-            raise TableParseError(f"expected block header (one of {', '.join(_BLOCKS)}), got {content!r}", lineno)
+            raise TableParseError(f"expected block header (one of {', '.join(_BLOCKS)}), got {name!r}", lineno)
         if name in blocks:
             raise TableParseError(f"duplicate block {name!r}", lineno)
         rows = []
         for _ in range(n):
-            entry = next_content()
+            entry = next(lines, None)
             if entry is None:
                 raise TableParseError(f"block {name!r} ended after {len(rows)} of {n} rows")
             lineno, content = entry

@@ -214,6 +214,23 @@ def test_unreferenced_arcs_and_free_circles(alex543):
     assert report.colorings == tuple(sorted(report.colorings))
 
 
+def test_listing_of_many_free_circles_stops_at_the_cap():
+    # 2^64 tails: a listing that built them all would never finish
+    circles = SingularDiagram(1, free=64)
+    p = AlexanderParams(2, 1, 0)
+    start = time.perf_counter()
+    reports = [count_colorings_bruteforce(circles, build_tables(p),
+                                          list_colorings=True, cap=3),
+               count_colorings_linear(circles, p, list_colorings=True, cap=3)]
+    assert time.perf_counter() - start < 1.0
+    zeros = (0,) * 63
+    for report in reports:
+        assert report.count == 2 ** 65
+        assert report.truncated
+        assert report.colorings == ((0, 0) + zeros, (0,) + zeros + (1,),
+                                    (0,) + zeros[1:] + (1, 0))
+
+
 def test_empty_diagram(alex543):
     empty = SingularDiagram(0)
     for report in (count_colorings_bruteforce(empty, alex543, list_colorings=True),
