@@ -1,9 +1,10 @@
 """Coloring counts of singular diagrams by finite singquandles.
 
 Two backends: a search over a static plan compiled from the diagram, for
-arbitrary tables, and exact linear algebra modulo n (one diagonalization
-of the congruence system) for the linear family, where every crossing
-constraint is a linear congruence.
+arbitrary tables, and exact linear algebra modulo n for the linear family,
+where every crossing constraint is a linear congruence: the arcs that the
+crossings define are substituted out, and only the equations left over are
+diagonalized.
 """
 
 from __future__ import annotations
@@ -347,38 +348,88 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     return ColoringReport(count, BACKEND_BRUTE, listed, len(listed) < count)
 
 
-def _congruence_rows(diagram: SingularDiagram, p: AlexanderParams) -> list:
-    """The sparse rows {arc: residue} of the homogeneous system A c == 0
-    (mod n): one row per classical crossing, out - x * in1 - y * in2, and
-    one per output of a singular crossing.  An arc met twice in one
-    crossing, as in a kink, gets the sum of its coefficients."""
+def _substitution(diagram: SingularDiagram, p: AlexanderParams) -> tuple:
+    """(combos, residual, columns): for each arc that a crossing touches, its
+    color as a sparse combination {column: coefficient} of the free arcs'
+    colors (a free arc's is {its column: 1}, a defined arc's coefficients
+    are reduced mod n, zeros kept); the residual rows over those columns,
+    in the form _kernel takes; and the number of free arcs.
+
+    The crossings are walked in order.  An input met for the first time is
+    a free arc and takes the next column.  An output met for the first
+    time, and not among its own crossing's inputs, is defined by its
+    equation, out = x * in1 + y * in2 with (x, y) the coefficients of star,
+    r1 or r2, and gets the combination of its inputs.  Every other output
+    equation, its arcs substituted, is one residual row.  Each defined arc
+    has one equation, the one that defines it, so the colorings are the
+    solutions of the residual rows, expanded through the combinations; an
+    arc that no crossing touches is one more free column, with no row.  On
+    a braid closure only the strands whose bottom arc is a crossing output
+    leave a residual row.
+    """
     n = p.n
     star, r1, r2 = p.coefficients
-    rows = []
+    combos = {}
+    residual = []
+    columns = 0
     for cr in diagram.crossings:
         if isinstance(cr, Classical):
-            rows.append(_sparse_row(
-                ((cr.c, 1), (cr.a, -star[0]), (cr.b, -star[1])), n))
+            a, b, outs = cr.a, cr.b, ((cr.c, star),)
         else:
-            for out, (x, y) in ((cr.sw, r1), (cr.se, r2)):
-                rows.append(_sparse_row(((out, 1), (cr.nw, -x), (cr.ne, -y)), n))
-    return rows
+            a, b, outs = cr.nw, cr.ne, ((cr.sw, r1), (cr.se, r2))
+        first = combos.get(a)
+        if first is None:
+            first = combos[a] = {columns: 1}
+            columns += 1
+        second = combos.get(b)
+        if second is None:
+            second = combos[b] = {columns: 1}
+            columns += 1
+        for out, (x, y) in outs:
+            image = {k: x * v % n for k, v in first.items()}
+            for k, v in second.items():
+                image[k] = (image.get(k, 0) + y * v) % n
+            known = combos.get(out)
+            if known is None:
+                combos[out] = image
+            else:
+                residual.append(_sparse_row(chain(
+                    known.items(), [(k, -v) for k, v in image.items()]), n))
+    return combos, residual, columns
 
 
 def count_colorings_linear(diagram: SingularDiagram, p: AlexanderParams,
                            list_colorings: bool = False,
                            cap: int = DEFAULT_LIST_CAP) -> ColoringReport:
     """Coloring count for a linear structure: the size of the kernel mod n
-    of its congruence system, which is diagonalized modulo n."""
+    of its congruence system.  The arcs that a crossing's output equation
+    defines are substituted out (_substitution), and only the residual rows
+    are diagonalized modulo n."""
     n = p.n
-    base, vectors = _kernel(_congruence_rows(diagram, p), diagram.arcs, n,
-                            list_colorings)
+    combos, residual, columns = _substitution(diagram, p)
+    # the arcs no crossing touches take the columns after the free arcs
+    ncols = columns + diagram.arcs - len(combos)
+    base, vectors = _kernel(residual, ncols, n, list_colorings)
     count = base * n ** diagram.free
 
     colorings = None
     if list_colorings and base <= cap:
+        untouched = iter(range(columns, ncols))
+        by_arc = [combos[x] if x in combos else {next(untouched): 1}
+                  for x in range(diagram.arcs)]
+        # the colors of each free arc, then of each arc, across the base
+        # kernel vectors, all of which are distinct
+        free = list(zip(*vectors))
+        colors = []
+        for combo in by_arc:
+            color = [0] * base
+            for k, q in combo.items():
+                if q:
+                    color = [c + q * y for c, y in zip(color, free[k])]
+            colors.append([c % n for c in color])
+        expanded = sorted(zip(*colors)) if colors else [()]
         tails = list(islice(product(range(n), repeat=diagram.free), cap))
-        colorings = tuple(islice((v + t for v in sorted(vectors) for t in tails), cap))
+        colorings = tuple(islice((v + t for v in expanded for t in tails), cap))
     truncated = list_colorings and (colorings is None or len(colorings) < count)
     return ColoringReport(count, BACKEND_LINEAR, colorings, truncated)
 

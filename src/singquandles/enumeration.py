@@ -45,7 +45,8 @@ prefix test cuts every subtree with no least member of its orbit, so the
 search reaches only the least r1 of each.  Such a relabelling keeps the
 star, commutes with r2 = derive_r2(star, r1) and keeps every axiom (each a
 universally quantified equation), so the checker runs once per orbit, and
-a passing r1 is yielded with its whole orbit.  A relabelling between two
+a passing r1 is yielded with its orbit's size, read off the relabellings
+that the prefix test leaves at the leaf.  A relabelling between two
 structures with the same star lies in Aut(star), so each isomorphism class
 meets the least star of its star's class in one such orbit, whose least
 member is the class's canonical form.
@@ -54,7 +55,7 @@ member is the class's canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations
 
 from .axioms import check_all
@@ -138,9 +139,24 @@ def _value_masks(domain, n: int) -> list:
     return masks
 
 
+@lru_cache(maxsize=1)
+def _automorphisms(srows: tuple) -> list:
+    """Aut(star) for the star with rows srows, each g with its inverse.  The
+    last star's is kept, so orbits built after its search scan no
+    relabelling again."""
+    n = len(srows)
+    return [(g, tuple(sorted(range(n), key=g.__getitem__)))
+            for g in permutations(range(n)) if all(
+                g[srows[x][y]] == srows[g[x]][g[y]]
+                for x in range(n) for y in range(n))]
+
+
 def _verified_r1(star: OpTable):
-    """Yield (r1, orbit) per Aut(star) orbit of verified r1 with this star,
-    r1 as rows, the least of its orbit, in lexicographic order."""
+    """Yield (r1, size) per Aut(star) orbit of verified r1 with this star:
+    r1 as rows, the least of its orbit, in lexicographic order, and the
+    orbit's size.  At a leaf the relabellings left by the prefix test are
+    those with g.R == R, the stabilizer of r1, so the size is
+    |Aut(star)| / |stabilizer|."""
     n = star.order
     srows = star.rows
     domains = [_square_roots(n).get(column) for column in zip(*srows)]
@@ -151,13 +167,7 @@ def _verified_r1(star: OpTable):
     # left[a][u]: the set of c with a*c == u
     left = [[sum(1 << c for c in range(n) if srows[a][c] == u) for u in range(n)]
             for a in range(n)]
-    # Aut(star), each g with its inverse
-    automorphisms = [(g, tuple(sorted(range(n), key=g.__getitem__)))
-                     for g in permutations(range(n)) if all(
-                         g[srows[x][y]] == srows[g[x]][g[y]]
-                         for x in range(n) for y in range(n))]
-    # a relabelled r1's rows lie in its columns' domains: share their tuples
-    shared = {p: p for d in domains for p in d}
+    automorphisms = _automorphisms(srows)
     rows = [None] * n
 
     def candidates(k: int) -> int:
@@ -231,9 +241,7 @@ def _verified_r1(star: OpTable):
     def place(k: int, live: list):
         if k == n:
             if check_all(_build(star, OpTable(tuple(rows)))).all_hold:
-                yield tuple(rows), {
-                    tuple([shared[moved(g, inv, i)] for i in range(n)])
-                    for g, inv in automorphisms}
+                yield tuple(rows), len(automorphisms) // len(live)
             return
         domain = domains[k]
         todo = candidates(k)
@@ -251,10 +259,20 @@ def _verified_r1(star: OpTable):
         del place  # place refers to itself; drop that cycle now
 
 
+def _orbits(star: OpTable):
+    """Yield (r1, orbit) per r1 that _verified_r1 yields, the orbit the set
+    of its relabellings by Aut(star), whose equal rows share one tuple."""
+    shared = {}
+    for r1, _ in _verified_r1(star):
+        yield r1, {tuple([shared.setdefault(row, row) for row in
+                          (tuple([g[r1[i][y]] for y in inv]) for i in inv)])
+                   for g, inv in _automorphisms(star.rows)}
+
+
 def singquandles_for_star(star: OpTable) -> list:
     """All verified structures with the given star table."""
     return [_build(star, OpTable(r1)) for r1 in
-            sorted(r1 for _, orbit in _verified_r1(star) for r1 in orbit)]
+            sorted(r1 for _, orbit in _orbits(star) for r1 in orbit)]
 
 
 @dataclass(frozen=True)
@@ -267,7 +285,7 @@ class Census:
 def enumerate_singquandles(n: int, up_to_iso: bool = False) -> Census:
     """Complete census of order-n structures; hard order limit MAX_ORDER.
 
-    The labelled count sums the orbits the search yields, and up to
+    The labelled count sums the orbit sizes the search yields, and up to
     isomorphism the classes are read off it: a relabelling between
     structures with the same star lies in Aut(star), so each class meets the
     least star of its star's class in one orbit, yielded with its least
@@ -279,8 +297,8 @@ def enumerate_singquandles(n: int, up_to_iso: bool = False) -> Census:
     for star in sorted(involutive_quandles(n), key=lambda t: t.rows):
         # whether the star is least in its class, tested only once it yields
         least = None
-        for r1, orbit in _verified_r1(star):
-            count += len(orbit)
+        for r1, size in _verified_r1(star):
+            count += size
             if up_to_iso:
                 if least is None:
                     least = _least((star.rows,)) == sum(star.rows, ())

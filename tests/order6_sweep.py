@@ -4,15 +4,15 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tests/order6_sweep.py
 
-It prints its time and peak RSS: 63-88 s and 24 MB on one core of a
+It prints its time and peak RSS: about 28 s and 24 MB on one core of a
 2-core Intel Xeon under Python 3.11.
 
 The 3,471 involutive quandles of order 6 other than the trivial one
 (x * y = x) come first.  The sha256 digest is built the way
 ``census_digest`` in test_enumeration.py builds its digests: each star's
 rows, then every structure ``singquandles_for_star`` lists for it, in its
-order, the sorted union of the Aut(star) orbits that the search behind it
-yields.
+order, the sorted union of the Aut(star) orbits of the r1 that the search
+behind it yields (``_orbits``).
 
 The isomorphism classes are read off the same search by the rule
 ``enumerate_singquandles`` uses: each orbit yielded at a star that is
@@ -25,7 +25,9 @@ may be equal, and the orbit-stabilizer sum over them, 720 / |Aut(s)| per
 class, must give the labelled count.
 
 The trivial star comes last.  It alone yields 6,388,984 labelled
-structures in 9,903 orbits of its automorphism group S_6, each a class.
+structures in 9,903 orbits of its automorphism group S_6, each a class;
+the labelled count sums the orbit sizes the search yields, and no orbit
+is built.
 Burnside's lemma checks the two numbers against each other: the class
 count is the mean over g in S_6 of the structures g fixes.  For g other
 than the identity that number is counted by ``trivial_star_count`` in
@@ -50,7 +52,7 @@ from itertools import permutations
 from helpers import cycle_types, trivial_star_count
 from singquandles import (OpTable, canonical_form, involutive_quandles,
                           make_trivial_quandle, relabel)
-from singquandles.enumeration import _build, _least, _verified_r1
+from singquandles.enumeration import _build, _least, _orbits, _verified_r1
 
 DIGEST = "12d8df9c1e1d09d43a769b2b86d22b2ffa6b564e691e7f4ea80889077f8ff05f"
 STARS = 3471
@@ -72,7 +74,7 @@ def main() -> int:
     classes = []
     for star in stars:
         h.update(repr(star.rows).encode())
-        found = list(_verified_r1(star))
+        found = list(_orbits(star))
         for r1 in sorted(r1 for _, orbit in found for r1 in orbit):
             s = _build(star, OpTable(r1))
             count += 1
@@ -86,8 +88,8 @@ def main() -> int:
                  and len(set(classes)) == len(classes))
 
     trivial_count = trivial_classes = 0
-    for _, orbit in _verified_r1(trivial):
-        trivial_count += len(orbit)
+    for _, size in _verified_r1(trivial):
+        trivial_count += size
         trivial_classes += 1
     fixed = trivial_count + sum(size * trivial_star_count(6, g)
                                 for g, size in cycle_types(6)[1:])

@@ -4,6 +4,7 @@ import gc
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -47,8 +48,8 @@ from singquandles import (
     tangle_relation,
     tau,
 )
-from singquandles.coloring import (_congruence_rows, _loops, _skeleton,
-                                   _tables, _vacuous)
+from singquandles.coloring import (_loops, _skeleton, _substitution, _tables,
+                                   _vacuous)
 from singquandles.cli import main
 from helpers import color_count_oracle, color_set_oracle, renumber
 
@@ -187,9 +188,31 @@ def test_three_counts_agree_on_random_diagrams():
         s = build_tables(p)
         for _ in range(25):
             diagram = random_diagram(rng)
-            assert (count_colorings_bruteforce(diagram, s).count
-                    == count_colorings_linear(diagram, p).count
-                    == color_count_oracle(diagram, s)), (p, diagram)
+            # the substitution walks the crossings in order: reversed, it
+            # defines other arcs and leaves other rows, but the same count
+            reversed_ = replace(diagram, crossings=diagram.crossings[::-1])
+            want = color_count_oracle(diagram, s)
+            for d in (diagram, reversed_):
+                assert (count_colorings_bruteforce(d, s).count
+                        == count_colorings_linear(d, p).count
+                        == want), (p, d)
+
+
+def test_substitution_leaves_at_most_one_row_per_strand():
+    # in a closure walked in word order each defined arc is a new strand
+    # segment, and only a strand whose bottom arc is a crossing output,
+    # which closes onto its top arc, leaves a residual row; the linear
+    # counter's cost rests on this
+    rng = random.Random(4241)
+    params = [p for n in range(2, 13) for p in find_params(n)]
+    for _ in range(300):
+        strands = rng.randint(2, 8)
+        closure = braid_closure(random_word(rng, strands, rng.randint(0, 40)))
+        p = rng.choice(params)
+        _, residual, columns = _substitution(closure, p)
+        assert len(residual) <= strands, (closure, p)
+        # every free arc is a strand's top arc
+        assert columns <= strands
 
 
 def test_count_invariance_under_arc_relabeling(alex543):
@@ -241,29 +264,36 @@ def test_empty_diagram(alex543):
 
 
 def test_modular_system_rows():
-    rows = _congruence_rows(gen_fig9_left(), AlexanderParams(5, 4, 3))
-    # each singular crossing contributes sw - r1x*nw - r1y*ne == 0 and
-    # se - r2x*nw - r2y*ne == 0; r1 = (4, 2), r2 = (3, 3) mod 5, each
-    # residue taken in (-5/2, 5/2] and zeros left out
-    assert rows == [
-        {0: 1, 1: -2, 2: 1},
-        {0: 2, 1: 2, 3: 1},
-        {0: 1, 2: 1, 3: -2},
-        {1: 1, 2: 2, 3: 2},
-    ]
+    combos, residual, columns = _substitution(gen_fig9_left(),
+                                              AlexanderParams(5, 4, 3))
+    # arcs 0 and 1 are free; the first crossing defines sw = r1x*nw + r1y*ne
+    # and se = r2x*nw + r2y*ne, with r1 = (4, 2), r2 = (3, 3) mod 5
+    assert columns == 2
+    assert combos == {0: {0: 1}, 1: {1: 1}, 2: {0: 4, 1: 2}, 3: {0: 3, 1: 3}}
+    # the second crossing's outputs were read by the first: each equation,
+    # arcs 2 and 3 substituted, is a residual row, its residues taken in
+    # (-5/2, 5/2] and zeros left out.  So arc 0 == arc 1: 5 colorings
+    assert residual == [{0: -1, 1: 1}, {0: -1, 1: 1}]
+    assert count_colorings_linear(gen_fig9_left(),
+                                  AlexanderParams(5, 4, 3)).count == 5
 
 
 def test_congruence_rows_merge_an_arc_met_twice(alex543):
     p = AlexanderParams(5, 4, 3)
-    # star = 4x + 2y: X 0 1 0 gives c - 4a - 2b with c = a, so -3a - 2b
+    # star = 4x + 2y: X 0 1 0 gives c - 4a - 2b with c = a, so -3a - 2b;
+    # an output among its own inputs defines nothing
     out_is_in = SingularDiagram(2, (Classical(0, 1, 0),))
-    assert _congruence_rows(out_is_in, p) == [{0: 2, 1: -2}]
+    assert _substitution(out_is_in, p) == ({0: {0: 1}, 1: {1: 1}},
+                                           [{0: 2, 1: -2}], 2)
     # in a kink the coefficients sum to 1 - 4 - 2 == 0 mod 5, and for r1
     # and r2 to 1 - (1 - t - b) - (t + b) == 0: the rows are empty
     kinks = SingularDiagram(2, (Classical(0, 0, 0), Singular(1, 1, 1, 1)))
-    assert _congruence_rows(kinks, p) == [{}, {}, {}]
+    assert _substitution(kinks, p) == ({0: {0: 1}, 1: {1: 1}}, [{}, {}, {}], 2)
     both = SingularDiagram(3, (Classical(0, 1, 0), Classical(2, 2, 2),
                                Singular(0, 2, 0, 2)))
+    # S 0 2 0 2: both outputs are inputs, two rows that say 2a == 2c
+    assert _substitution(both, p) == ({0: {0: 1}, 1: {1: 1}, 2: {2: 1}}, [
+        {0: 2, 1: -2}, {}, {0: 2, 2: -2}, {0: 2, 2: -2}], 3)
     for diagram in (out_is_in, kinks, both):
         report = count_colorings_linear(diagram, p, list_colorings=True)
         assert report.count == color_count_oracle(diagram, alex543)
@@ -272,12 +302,17 @@ def test_congruence_rows_merge_an_arc_met_twice(alex543):
 
 def test_linear_counter_with_modulus_one_and_no_crossings():
     one = AlexanderParams(1, 0, 0)
-    assert _congruence_rows(gen_fig9_left(), one) == [{}] * 4
+    # mod 1 every residue is 0: arcs 2 and 3 are defined with zero
+    # coefficients, and the two rows of the second crossing are empty
+    assert _substitution(gen_fig9_left(), one) == (
+        {0: {0: 1}, 1: {1: 1}, 2: {0: 0, 1: 0}, 3: {0: 0, 1: 0}}, [{}, {}], 2)
     report = count_colorings_linear(gen_fig9_left(), one, list_colorings=True)
     assert (report.count, report.colorings) == (1, ((0, 0, 0, 0),))
     bare = SingularDiagram(2, (), free=1)
     p = AlexanderParams(3, 1, 0)
-    assert _congruence_rows(bare, p) == []
+    # arcs no crossing touches get no combination and no row: they are
+    # free columns of the kernel
+    assert _substitution(bare, p) == ({}, [], 0)
     report = count_colorings_linear(bare, p, list_colorings=True)
     assert report.count == 27
     assert list(report.colorings) == list(product(range(3), repeat=3))

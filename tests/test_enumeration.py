@@ -112,21 +112,29 @@ def test_census_is_closed_under_star_automorphisms():
 
 
 def test_search_yields_each_orbit_once_by_its_least_member():
-    # each yield is (r1, orbit): r1 the least member of its Aut(star) orbit,
-    # met in increasing order, and no structure is in two orbits
+    # each yield is (r1, size): r1 the least member of its Aut(star) orbit,
+    # met in increasing order, and size that orbit's size; _orbits builds
+    # the orbits, and no structure is in two of them
     for n in (1, 2, 3, 4):
         for star in involutive_quandles(n):
             aut = star_automorphisms(star)
             got = list(enumeration._verified_r1(star))
-            assert [r1 for r1, _ in got] == sorted(min(o) for _, o in got)
+            orbits = list(enumeration._orbits(star))
+            assert [r1 for r1, _ in orbits] == [r1 for r1, _ in got]
+            assert [r1 for r1, _ in got] == sorted(min(o) for _, o in orbits)
             met = set()
-            for r1, orbit in got:
+            for (r1, size), (_, orbit) in zip(got, orbits):
                 s = enumeration._build(star, OpTable(r1))
                 assert r1 == min(orbit)
+                assert size == len(orbit)
                 assert ({moved_key(s, g) for g in aut} == {
                     flat(enumeration._build(star, OpTable(r))) for r in orbit})
                 assert met.isdisjoint(orbit)
                 met |= orbit
+            # the orbits reuse the search's Aut(star)
+            enumeration._automorphisms.cache_clear()
+            singquandles_for_star(star)
+            assert enumeration._automorphisms.cache_info().misses <= 1
 
 
 def test_search_memory_does_not_grow_with_the_labelled_count():
