@@ -2,8 +2,9 @@
 
 Two backends: a search over a static plan compiled from the diagram, for
 arbitrary tables, and exact linear algebra modulo n for the linear family,
-where every crossing constraint is a linear congruence: the arcs that the
-crossings define are substituted out, and only the equations left over are
+where every crossing constraint is a linear congruence: the arcs that a
+table passes straight through are merged, the arcs that the crossings
+define are substituted out, and only the equations left over are
 diagonalized.
 """
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice, product
 from math import gcd
+from operator import add, mul, sub
 
 from .alexander import AlexanderParams
 from .diagrams import Classical, Singular, SingularDiagram
@@ -348,88 +350,165 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     return ColoringReport(count, BACKEND_BRUTE, listed, len(listed) < count)
 
 
-def _substitution(diagram: SingularDiagram, p: AlexanderParams) -> tuple:
-    """(combos, residual, columns): for each arc that a crossing touches, its
-    color as a sparse combination {column: coefficient} of the free arcs'
-    colors (a free arc's is {its column: 1}, a defined arc's coefficients
-    are reduced mod n, zeros kept); the residual rows over those columns,
-    in the form _kernel takes; and the number of free arcs.
+def _passes(coefficients: tuple, n: int) -> tuple:
+    """For each of star, r1 and r2, the input its output equals (0 or 1:
+    its coefficient pair is (1, 0) or (0, 1) mod n), or None."""
+    one = 1 % n
+    return tuple(0 if pair == (one, 0) else 1 if pair == (0, one) else None
+                 for pair in coefficients)
 
-    The crossings are walked in order.  An input met for the first time is
-    a free arc and takes the next column.  An output met for the first
-    time, and not among its own crossing's inputs, is defined by its
-    equation, out = x * in1 + y * in2 with (x, y) the coefficients of star,
-    r1 or r2, and gets the combination of its inputs.  Every other output
-    equation, its arcs substituted, is one residual row.  Each defined arc
-    has one equation, the one that defines it, so the colorings are the
-    solutions of the residual rows, expanded through the combinations; an
-    arc that no crossing touches is one more free column, with no row.  On
-    a braid closure only the strands whose bottom arc is a crossing output
-    leave a residual row.
+
+@lru_cache(maxsize=_DIAGRAMS_KEPT)
+def _linear_plan(diagram: SingularDiagram, passes: tuple) -> tuple:
+    """(classes, columns, template, steps, roots, index): the substitution
+    plan of every linear structure whose pass-through pattern (_passes) is
+    passes.
+
+    Each output that equals one of its inputs is first joined to that
+    input by union-find.  The colorings are those of the quotient, each
+    class of arcs taking one color; classes counts the classes, an arc
+    that no crossing touches being one of its own, and roots maps each arc
+    that is not the root of its class to the root.  Then the other output
+    equations are walked in crossing order, on the classes.  An input
+    class met for the first time is free and takes the next of the columns.
+    An output class met for the first time, and not among its own
+    crossing's inputs, is defined by its equation, out = x * in1 + y * in2
+    with (x, y) the coefficients of star, r1 or r2.  Every other equation,
+    its classes substituted, leaves one residual row.  Each defined class
+    has just the one equation that defines it, and a class the walk never
+    meets takes any color.  On a braid closure only the strands whose
+    bottom arc is a crossing output leave a residual row.
+
+    index numbers the walked classes by root, in the order the walk meets
+    them.  template holds, at each walked class, its column's unit vector
+    if it is free, and None if it is defined.  A step (out, which, a, b,
+    defines) is one equation on those numbers, which naming star, r1 or r2.
     """
-    n = p.n
-    star, r1, r2 = p.coefficients
-    combos = {}
-    residual = []
-    columns = 0
+    parent = {}
+
+    def find(x):
+        while x in parent:
+            up = parent[x]
+            if up in parent:
+                up = parent[x] = parent[up]
+            x = up
+        return x
+
+    equations = []
     for cr in diagram.crossings:
         if isinstance(cr, Classical):
-            a, b, outs = cr.a, cr.b, ((cr.c, star),)
+            ins, outs = (cr.a, cr.b), ((cr.c, 0),)
         else:
-            a, b, outs = cr.nw, cr.ne, ((cr.sw, r1), (cr.se, r2))
-        first = combos.get(a)
-        if first is None:
-            first = combos[a] = {columns: 1}
-            columns += 1
-        second = combos.get(b)
-        if second is None:
-            second = combos[b] = {columns: 1}
-            columns += 1
-        for out, (x, y) in outs:
-            image = {k: x * v % n for k, v in first.items()}
-            for k, v in second.items():
-                image[k] = (image.get(k, 0) + y * v) % n
-            known = combos.get(out)
-            if known is None:
-                combos[out] = image
+            ins, outs = (cr.nw, cr.ne), ((cr.sw, 1), (cr.se, 2))
+        for out, which in outs:
+            side = passes[which]
+            if side is None:
+                equations.append((out, which, *ins))
             else:
-                residual.append(_sparse_row(chain(
-                    known.items(), [(k, -v) for k, v in image.items()]), n))
-    return combos, residual, columns
+                out, into = find(out), find(ins[side])
+                if out != into:
+                    parent[out] = into
+    roots = {x: find(x) for x in parent}
+
+    index = {}
+    # each walked class's column, None for a defined one
+    column = []
+    columns = 0
+    steps = []
+    for out, which, a, b in equations:
+        a, b, out = roots.get(a, a), roots.get(b, b), roots.get(out, out)
+        for x in (a, b):
+            if x not in index:
+                index[x] = len(column)
+                column.append(columns)
+                columns += 1
+        defines = out not in index
+        if defines:
+            index[out] = len(column)
+            column.append(None)
+        steps.append((index[out], which, index[a], index[b], defines))
+    template = tuple(None if k is None
+                     else tuple(int(i == k) for i in range(columns))
+                     for k in column)
+    return (diagram.arcs - len(parent), columns, template, tuple(steps),
+            roots, index)
+
+
+def _substitute(template: tuple, steps: tuple, coefficients: tuple,
+                n: int) -> tuple:
+    """(combos, residual): the color of each walked class of a plan as a
+    dense combination of the free columns' colors, its coefficients reduced
+    mod n, and the residual rows over the columns, in the form _kernel
+    takes."""
+    combos = list(template)
+    residual = []
+    for out, which, a, b, defines in steps:
+        x, y = coefficients[which]
+        image = [(x * u + y * v) % n for u, v in zip(combos[a], combos[b])]
+        if defines:
+            combos[out] = image
+        else:
+            residual.append(_sparse_row(enumerate(map(sub, combos[out], image)), n))
+    return combos, residual
 
 
 def count_colorings_linear(diagram: SingularDiagram, p: AlexanderParams,
                            list_colorings: bool = False,
                            cap: int = DEFAULT_LIST_CAP) -> ColoringReport:
     """Coloring count for a linear structure: the size of the kernel mod n
-    of its congruence system.  The arcs that a crossing's output equation
-    defines are substituted out (_substitution), and only the residual rows
-    are diagonalized modulo n."""
+    of its congruence system.
+
+    The plan (_linear_plan) is kept per diagram and pass-through pattern:
+    it merges each arc that a table passes straight through with its
+    input into one class, and walks the rest of the equations on the
+    classes.  The valid members have three patterns: no table passes an
+    input through; only star does (t = 1, b != 0); or all three do
+    ((n, 1, 0), and every member with n = 1), and then the plan has no
+    steps and the count is n to the number of classes and free circles.
+    Per member only the arithmetic is left: the combinations, on dense
+    lists over the free columns (_substitute), and the diagonalization mod
+    n of the residual rows.  A listing expands each generator of the
+    kernel once into colors of the arcs, and sums their multiples.
+    """
     n = p.n
-    combos, residual, columns = _substitution(diagram, p)
-    # the arcs no crossing touches take the columns after the free arcs
-    ncols = columns + diagram.arcs - len(combos)
-    base, vectors = _kernel(residual, ncols, n, list_colorings)
+    coefficients = p.coefficients
+    classes, columns, template, steps, roots, index = _linear_plan(
+        diagram, _passes(coefficients, n))
+    combos, residual = _substitute(template, steps, coefficients, n)
+    base, diag, v = _kernel(residual, columns, n, list_colorings)
+    # the classes the walk never meets take any color
+    walked = len(combos)
+    base *= n ** (classes - walked)
     count = base * n ** diagram.free
 
     colorings = None
     if list_colorings and base <= cap:
-        untouched = iter(range(columns, ncols))
-        by_arc = [combos[x] if x in combos else {next(untouched): 1}
-                  for x in range(diagram.arcs)]
-        # the colors of each free arc, then of each arc, across the base
-        # kernel vectors, all of which are distinct
-        free = list(zip(*vectors))
-        colors = []
-        for combo in by_arc:
-            color = [0] * base
-            for k, q in combo.items():
-                if q:
-                    color = [c + q * y for c, y in zip(color, free[k])]
-            colors.append([c % n for c in color])
-        expanded = sorted(zip(*colors)) if colors else [()]
+        # each arc's class, the classes not walked numbered after the rest
+        number = dict(index)
+        of = [number.setdefault(roots.get(x, x), len(number))
+              for x in range(diagram.arcs)]
+        # the kernel's generators as colors of the arcs, each with the step
+        # of its multiples: each column j of V with gcd(d_j, n) > 1,
+        # expanded through the walked classes, and each class not walked
+        generators = []
+        for j, vj in enumerate(v):
+            g = gcd(diag.get(j, 0), n)
+            if g > 1:
+                y = [vj.get(i, 0) for i in range(columns)]
+                values = [sum(map(mul, combo, y)) % n for combo in combos]
+                generators.append(
+                    ([values[c] if c < walked else 0 for c in of], n // g))
+        if n > 1:
+            generators += [([int(c == k) for c in of], 1)
+                           for k in range(walked, classes)]
+        vectors = [(0,) * diagram.arcs]
+        for generator, step in generators:
+            multiples = [[k * x for x in generator] for k in range(0, n, step)]
+            vectors = [tuple(map(n.__rmod__, map(add, c, m)))
+                       for c in vectors for m in multiples]
+        vectors.sort()
         tails = list(islice(product(range(n), repeat=diagram.free), cap))
-        colorings = tuple(islice((v + t for v in expanded for t in tails), cap))
+        colorings = tuple(islice((c + t for c in vectors for t in tails), cap))
     truncated = list_colorings and (colorings is None or len(colorings) < count)
     return ColoringReport(count, BACKEND_LINEAR, colorings, truncated)
 

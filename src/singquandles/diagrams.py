@@ -71,6 +71,15 @@ class SingularDiagram:
                         f"semiarc label {x} out of range for {self.arcs} arcs"
                     )
 
+    def __hash__(self):
+        # a diagram keys the coloring plans' caches on every count, so its
+        # hash, a walk over every crossing, is taken once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.arcs, self.crossings, self.free))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def singular_count(self):
         return sum(1 for c in self.crossings if isinstance(c, Singular))

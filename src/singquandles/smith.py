@@ -120,13 +120,13 @@ def _diagonalize(rows: list, n: int, v: list | None = None) -> dict:
 
 
 def _kernel(rows: list, ncols: int, n: int, listing: bool):
-    """(count, vectors): the number of solutions mod n of the sparse rows,
-    which are consumed, and, when listing, an iterator over the solutions,
-    unsorted; otherwise None."""
+    """(count, diag, v): the number of solutions mod n of the sparse rows,
+    which are consumed, the nonzero d_j, and, when listing, the columns of
+    V; otherwise None."""
     v = [{j: 1} for j in range(ncols)] if listing else None
     diag = _diagonalize(rows, n, v)
     count = n ** (ncols - len(diag)) * prod(gcd(d, n) for d in diag.values())
-    return count, _vectors(diag, v, ncols, n) if listing else None
+    return count, diag, v
 
 
 def _vectors(diag: dict, v: list, ncols: int, n: int):
@@ -151,4 +151,5 @@ def kernel_count_mod(matrix, ncols: int, n: int) -> int:
 
 def kernel_vectors_mod(matrix, ncols: int, n: int):
     """All kernel vectors mod n, unsorted; use only when the count is small."""
-    return list(_kernel(_sparse(matrix, n), ncols, n, True)[1])
+    _, diag, v = _kernel(_sparse(matrix, n), ncols, n, True)
+    return list(_vectors(diag, v, ncols, n))

@@ -48,8 +48,8 @@ from singquandles import (
     tangle_relation,
     tau,
 )
-from singquandles.coloring import (_loops, _skeleton, _substitution, _tables,
-                                   _vacuous)
+from singquandles.coloring import (_linear_plan, _loops, _passes, _skeleton,
+                                   _substitute, _tables, _vacuous)
 from singquandles.cli import main
 from helpers import color_count_oracle, color_set_oracle, renumber
 
@@ -92,6 +92,14 @@ def random_diagram(rng: random.Random) -> SingularDiagram:
         else:
             crossings.append(Singular(*(rng.randrange(arcs) for _ in range(4))))
     return SingularDiagram(arcs, tuple(crossings), free=rng.randint(0, 2))
+
+
+def linear_system(diagram: SingularDiagram, p: AlexanderParams) -> tuple:
+    """The linear counter's plan for p's pass-through pattern, and p's
+    combinations and residual rows on it."""
+    plan = _linear_plan(diagram, _passes(p.coefficients, p.n))
+    _, _, template, steps, _, _ = plan
+    return plan, _substitute(template, steps, p.coefficients, p.n)
 
 
 def assert_brute_matches_oracle(diagram, s):
@@ -209,10 +217,43 @@ def test_substitution_leaves_at_most_one_row_per_strand():
         strands = rng.randint(2, 8)
         closure = braid_closure(random_word(rng, strands, rng.randint(0, 40)))
         p = rng.choice(params)
-        _, residual, columns = _substitution(closure, p)
+        (_, columns, _, steps, _, _), (_, residual) = linear_system(closure, p)
         assert len(residual) <= strands, (closure, p)
-        # every free arc is a strand's top arc
+        assert len(residual) == sum(not defines for *_, defines in steps)
+        # every free class holds a strand's top arc
         assert columns <= strands
+
+
+def test_closures_under_pass_through_members_count_n_per_component():
+    # under (n, 1, 0), x*y = x, r1 = y and r2 = x: every strand passes
+    # straight through each crossing, so a closure takes one color per
+    # component, n ** (cycles of the word's permutation), in which s_i and
+    # t_i both swap i and i + 1.  Brute force visits every coloring, so it
+    # runs only where n ** strands is at most 10 ** 4
+    rng = random.Random(2207)
+    for _ in range(120):
+        strands = rng.randint(2, 8)
+        word = random_word(rng, strands, rng.randint(0, 16))
+        perm = list(range(strands))
+        for letter in word.letters:
+            i = letter.index - 1
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        cycles, seen = 0, set()
+        for start in range(strands):
+            if start not in seen:
+                cycles += 1
+                x = start
+                while x not in seen:
+                    seen.add(x)
+                    x = perm[x]
+        closure = braid_closure(word)
+        for n in (2, 3, 5, 12):
+            p = AlexanderParams(n, 1, 0)
+            want = n ** cycles
+            assert count_colorings_linear(closure, p).count == want, (word, n)
+            if n ** strands <= 10 ** 4:
+                assert (count_colorings_bruteforce(closure, build_tables(p)).count
+                        == want), (word, n)
 
 
 def test_count_invariance_under_arc_relabeling(alex543):
@@ -264,12 +305,18 @@ def test_empty_diagram(alex543):
 
 
 def test_modular_system_rows():
-    combos, residual, columns = _substitution(gen_fig9_left(),
-                                              AlexanderParams(5, 4, 3))
+    plan, (combos, residual) = linear_system(gen_fig9_left(),
+                                             AlexanderParams(5, 4, 3))
+    # no table passes an input through, so each arc is a class of its own;
     # arcs 0 and 1 are free; the first crossing defines sw = r1x*nw + r1y*ne
     # and se = r2x*nw + r2y*ne, with r1 = (4, 2), r2 = (3, 3) mod 5
-    assert columns == 2
-    assert combos == {0: {0: 1}, 1: {1: 1}, 2: {0: 4, 1: 2}, 3: {0: 3, 1: 3}}
+    classes, columns, template, steps, roots, index = plan
+    assert (classes, columns, roots) == (4, 2, {})
+    assert index == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert template == ((1, 0), (0, 1), None, None)
+    assert steps == ((2, 1, 0, 1, True), (3, 2, 0, 1, True),
+                     (0, 1, 2, 3, False), (1, 2, 2, 3, False))
+    assert combos == [(1, 0), (0, 1), [4, 2], [3, 3]]
     # the second crossing's outputs were read by the first: each equation,
     # arcs 2 and 3 substituted, is a residual row, its residues taken in
     # (-5/2, 5/2] and zeros left out.  So arc 0 == arc 1: 5 colorings
@@ -283,17 +330,22 @@ def test_congruence_rows_merge_an_arc_met_twice(alex543):
     # star = 4x + 2y: X 0 1 0 gives c - 4a - 2b with c = a, so -3a - 2b;
     # an output among its own inputs defines nothing
     out_is_in = SingularDiagram(2, (Classical(0, 1, 0),))
-    assert _substitution(out_is_in, p) == ({0: {0: 1}, 1: {1: 1}},
-                                           [{0: 2, 1: -2}], 2)
+    assert linear_system(out_is_in, p) == (
+        (2, 2, ((1, 0), (0, 1)), ((0, 0, 0, 1, False),), {}, {0: 0, 1: 1}),
+        ([(1, 0), (0, 1)], [{0: 2, 1: -2}]))
     # in a kink the coefficients sum to 1 - 4 - 2 == 0 mod 5, and for r1
     # and r2 to 1 - (1 - t - b) - (t + b) == 0: the rows are empty
     kinks = SingularDiagram(2, (Classical(0, 0, 0), Singular(1, 1, 1, 1)))
-    assert _substitution(kinks, p) == ({0: {0: 1}, 1: {1: 1}}, [{}, {}, {}], 2)
+    assert linear_system(kinks, p) == (
+        (2, 2, ((1, 0), (0, 1)), ((0, 0, 0, 0, False), (1, 1, 1, 1, False),
+                                  (1, 2, 1, 1, False)), {}, {0: 0, 1: 1}),
+        ([(1, 0), (0, 1)], [{}, {}, {}]))
     both = SingularDiagram(3, (Classical(0, 1, 0), Classical(2, 2, 2),
                                Singular(0, 2, 0, 2)))
     # S 0 2 0 2: both outputs are inputs, two rows that say 2a == 2c
-    assert _substitution(both, p) == ({0: {0: 1}, 1: {1: 1}, 2: {2: 1}}, [
-        {0: 2, 1: -2}, {}, {0: 2, 2: -2}, {0: 2, 2: -2}], 3)
+    (_, columns, _, _, _, _), (_, residual) = linear_system(both, p)
+    assert columns == 3
+    assert residual == [{0: 2, 1: -2}, {}, {0: 2, 2: -2}, {0: 2, 2: -2}]
     for diagram in (out_is_in, kinks, both):
         report = count_colorings_linear(diagram, p, list_colorings=True)
         assert report.count == color_count_oracle(diagram, alex543)
@@ -302,17 +354,17 @@ def test_congruence_rows_merge_an_arc_met_twice(alex543):
 
 def test_linear_counter_with_modulus_one_and_no_crossings():
     one = AlexanderParams(1, 0, 0)
-    # mod 1 every residue is 0: arcs 2 and 3 are defined with zero
-    # coefficients, and the two rows of the second crossing are empty
-    assert _substitution(gen_fig9_left(), one) == (
-        {0: {0: 1}, 1: {1: 1}, 2: {0: 0, 1: 0}, 3: {0: 0, 1: 0}}, [{}, {}], 2)
+    # mod 1 every coefficient pair is (1, 0): each output is joined to its
+    # first input, so the four arcs are one class, with no steps and no rows
+    assert linear_system(gen_fig9_left(), one) == (
+        (1, 0, (), (), {1: 0, 2: 0, 3: 0}, {}), ([], []))
     report = count_colorings_linear(gen_fig9_left(), one, list_colorings=True)
     assert (report.count, report.colorings) == (1, ((0, 0, 0, 0),))
     bare = SingularDiagram(2, (), free=1)
     p = AlexanderParams(3, 1, 0)
-    # arcs no crossing touches get no combination and no row: they are
-    # free columns of the kernel
-    assert _substitution(bare, p) == ({}, [], 0)
+    # arcs no crossing touches are classes of their own, which the walk
+    # never meets: they take any color, with no column and no row
+    assert linear_system(bare, p) == ((2, 0, (), (), {}, {}), ([], []))
     report = count_colorings_linear(bare, p, list_colorings=True)
     assert report.count == 27
     assert list(report.colorings) == list(product(range(3), repeat=3))
@@ -441,14 +493,17 @@ def test_one_plan_binds_to_each_structures_tables():
 
 def test_plan_caches_stay_bounded():
     rng = random.Random(5501)
+    members = [p for n in range(1, 5) for p in find_params(n)]
 
     def count(diagrams):
         for _ in range(diagrams):
             n = rng.randint(1, 4)
             s = Singquandle(*(random_table(rng, n) for _ in range(3)))
-            count_colorings_bruteforce(random_diagram(rng), s)
+            diagram = random_diagram(rng)
+            count_colorings_bruteforce(diagram, s)
+            count_colorings_linear(diagram, rng.choice(members))
 
-    caches = (_tables, _loops, _skeleton)
+    caches = (_tables, _loops, _skeleton, _linear_plan)
     for cached in caches:
         cached.cache_clear()
     # each batch of 250 counts after a full collection, which also empties
