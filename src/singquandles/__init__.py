@@ -23,7 +23,6 @@ from .enumeration import (MAX_ORDER, Census, canonical_form,
                           derive_r2, enumerate_singquandles,
                           involutive_quandles, is_isomorphic, relabel,
                           serialize_census, singquandles_for_star)
-from .smith import kernel_count_mod, kernel_vectors_mod
 from .tables import (OpTable, Singquandle, TableParseError,
                      make_dihedral_quandle, make_trivial_quandle,
                      parse_tables, serialize_tables)
@@ -46,10 +45,10 @@ __all__ = [
     "check_table", "count_colorings_bruteforce", "count_colorings_linear",
     "derive_r2", "distinguish", "enumerate_singquandles", "evaluate_axiom",
     "fig8_system_count", "find_params", "gen_fig9_left", "gen_fig9_right",
-    "involutive_quandles", "is_isomorphic", "kernel_count_mod",
-    "kernel_vectors_mod", "make_dihedral_quandle", "make_trivial_quandle",
-    "move_word_pairs", "parse_diagram", "parse_tables", "parse_word",
-    "relabel", "rotate_singular", "serialize_census", "serialize_diagram",
-    "serialize_report", "serialize_tables", "sigma", "singquandles_for_star",
-    "tangle_relation", "tau",
+    "involutive_quandles", "is_isomorphic", "make_dihedral_quandle",
+    "make_trivial_quandle", "move_word_pairs", "parse_diagram",
+    "parse_tables", "parse_word", "relabel", "rotate_singular",
+    "serialize_census", "serialize_diagram", "serialize_report",
+    "serialize_tables", "sigma", "singquandles_for_star", "tangle_relation",
+    "tau",
 ]

@@ -344,10 +344,16 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     heads = sorted(kept)[:cap]
     if unread:
         heads = heapq.merge(*map(widen, heads))
-    # only the first cap tails can reach the listing
-    tails = list(islice(product(range(n), repeat=diagram.free), cap))
-    listed = tuple(islice((c + t for c in heads for t in tails), cap))
+    listed = _with_tails(heads, n, diagram.free, cap)
     return ColoringReport(count, BACKEND_BRUTE, listed, len(listed) < count)
+
+
+def _with_tails(heads, n: int, free: int, cap: int) -> tuple:
+    """The first cap colorings, in order, of the sorted arc colorings heads
+    each followed by the colors of the free circles."""
+    # only the first cap tails can reach the listing
+    tails = list(islice(product(range(n), repeat=free), cap))
+    return tuple(islice((c + t for c in heads for t in tails), cap))
 
 
 def _passes(coefficients: tuple, n: int) -> tuple:
@@ -448,7 +454,7 @@ def _substitute(template: tuple, steps: tuple, coefficients: tuple,
         if defines:
             combos[out] = image
         else:
-            residual.append(_sparse_row(enumerate(map(sub, combos[out], image)), n))
+            residual.append(_sparse_row(map(sub, combos[out], image), n))
     return combos, residual
 
 
@@ -507,8 +513,7 @@ def count_colorings_linear(diagram: SingularDiagram, p: AlexanderParams,
             vectors = [tuple(map(n.__rmod__, map(add, c, m)))
                        for c in vectors for m in multiples]
         vectors.sort()
-        tails = list(islice(product(range(n), repeat=diagram.free), cap))
-        colorings = tuple(islice((c + t for c in vectors for t in tails), cap))
+        colorings = _with_tails(vectors, n, diagram.free, cap)
     truncated = list_colorings and (colorings is None or len(colorings) < count)
     return ColoringReport(count, BACKEND_LINEAR, colorings, truncated)
 

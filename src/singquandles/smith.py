@@ -1,13 +1,14 @@
 """Kernels of integer matrices modulo n.
 
 A system is a list of sparse rows {column: residue}, each residue nonzero
-and taken in (-n/2, n/2].  Row operations invertible mod n keep the
-solutions of A c == 0 (mod n), and column operations A -> A V turn them
-into c = V y.  _diagonalize applies both until each row left holds one
-entry d_j, on a column j of its own; a column that holds no such entry
-has d_j = 0.  Then there are prod(gcd(d_j, n)) solutions: c = V y mod n,
-where y_j runs over the multiples of n // gcd(d_j, n).  V is kept only
-when the solutions are listed.
+and taken in (-n/2, n/2]; the linear counter (coloring._substitute) builds
+its residual rows so with _sparse_row.  Row operations invertible mod n
+keep the solutions of A c == 0 (mod n), and column operations A -> A V
+turn them into c = V y.  _diagonalize applies both until each row left
+holds one entry d_j, on a column j of its own; a column that holds no such
+entry has d_j = 0.  Then there are prod(gcd(d_j, n)) solutions: c = V y
+mod n, where y_j runs over the multiples of n // gcd(d_j, n).  V is kept
+only when the counter lists the solutions.
 
 The elimination's cost follows the nonzero entries: a column index maps
 each column to the rows that hold it, so clearing a column visits only
@@ -15,24 +16,14 @@ those rows.
 """
 
 from collections import defaultdict
-from itertools import product
 from math import gcd, prod
 
 
-def _sparse_row(terms, n: int) -> dict:
-    """The sparse row of (column, coefficient) terms mod n: coefficients
-    of one column add up, and a column whose sum is 0 mod n is left out."""
-    row = {}
-    for k, x in terms:
-        row[k] = row.get(k, 0) + x
-    return {k: y - n if 2 * y > n else y for k, x in row.items() if (y := x % n)}
-
-
-def _sparse(matrix, n: int) -> list:
-    """The sparse rows of a dense matrix."""
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    return [_sparse_row(enumerate(entries), n) for entries in matrix]
+def _sparse_row(entries, n: int) -> dict:
+    """The sparse row of a dense row's entries mod n, each nonzero residue
+    taken in (-n/2, n/2] and each zero left out."""
+    return {k: y - n if 2 * y > n else y
+            for k, x in enumerate(entries) if (y := x % n)}
 
 
 def _subtract(rows: list, h: int, src: dict, q: int, n: int, index: dict) -> None:
@@ -127,29 +118,3 @@ def _kernel(rows: list, ncols: int, n: int, listing: bool):
     diag = _diagonalize(rows, n, v)
     count = n ** (ncols - len(diag)) * prod(gcd(d, n) for d in diag.values())
     return count, diag, v
-
-
-def _vectors(diag: dict, v: list, ncols: int, n: int):
-    """c = V y mod n for each y, over the columns with gcd(d_j, n) > 1: y_j
-    is 0 on the others."""
-    free = [j for j in range(ncols) if gcd(diag.get(j, 0), n) > 1]
-    columns = [v[j] for j in free]
-    steps = (range(0, n, n // gcd(diag.get(j, 0), n)) for j in free)
-    for y in product(*steps):
-        c = [0] * ncols
-        for yj, column in zip(y, columns):
-            if yj:
-                for i, x in column.items():
-                    c[i] += x * yj
-        yield tuple(x % n for x in c)
-
-
-def kernel_count_mod(matrix, ncols: int, n: int) -> int:
-    """Number of c in Z_n^ncols with matrix @ c == 0 (mod n)."""
-    return _kernel(_sparse(matrix, n), ncols, n, False)[0]
-
-
-def kernel_vectors_mod(matrix, ncols: int, n: int):
-    """All kernel vectors mod n, unsorted; use only when the count is small."""
-    _, diag, v = _kernel(_sparse(matrix, n), ncols, n, True)
-    return list(_vectors(diag, v, ncols, n))

@@ -17,7 +17,7 @@ prints the process time of each:
 It then prints the hits and misses of every ``functools`` cache in the
 package.  It exits 1 unless the labelled totals per order are
 1, 2, 10, 198, 16392 and every check holds.  It is not a pytest module,
-so Tier-1 does not run it.
+so Tier-1 does not run it; CI runs it in a step of its own.
 """
 
 from __future__ import annotations

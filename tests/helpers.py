@@ -10,7 +10,7 @@ in test_axioms.
 from __future__ import annotations
 
 from itertools import product
-from math import factorial
+from math import factorial, gcd
 
 from singquandles import (
     KIND_SINGULAR,
@@ -188,6 +188,42 @@ def rank_mod_p(matrix, ncols, p):
                 rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def kernel_count_over_z(matrix, ncols, n):
+    """Number of c in Z_n^ncols with matrix @ c == 0 (mod n), from a
+    diagonal form of the dense matrix over the integers, with no reduction
+    mod n.
+
+    Each pass reduces the other rows and columns by the entry of least
+    absolute value, by operations invertible over Z; a remainder left in
+    its row or column is smaller, and the next pass pivots on the least
+    entry again.  Once the pivot d is alone in its row and its column, both
+    are taken out, and d allows gcd(d, n) values of its column's
+    coordinate; a column that never holds a pivot allows n.
+    """
+    a = [list(row) for row in matrix if any(row)]
+    count, pivots = 1, 0
+    while a:
+        r, c = min(((r, c) for r, row in enumerate(a)
+                    for c, x in enumerate(row) if x),
+                   key=lambda rc: abs(a[rc[0]][rc[1]]))
+        p = a[r][c]
+        for i, row in enumerate(a):
+            if i != r and row[c]:
+                q = row[c] // p
+                a[i] = [x - q * y for x, y in zip(row, a[r])]
+        for j, x in enumerate(a[r]):
+            if j != c and x:
+                q = x // p
+                for row in a:
+                    row[j] -= q * row[c]
+        rest = a[:r] + a[r + 1:]
+        if not any(row[c] for row in rest) and sum(map(bool, a[r])) == 1:
+            count *= gcd(p, n)
+            pivots += 1
+            a = [row[:c] + row[c + 1:] for row in rest if any(row)]
+    return count * n ** (ncols - pivots)
 
 
 def renumber(diagram, perm):

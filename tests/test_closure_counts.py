@@ -2,7 +2,9 @@
 structures: the linear counter on the closure's congruence system, the
 brute-force search on the structure's tables, and |ker(W - I)| for the
 word's k x k matrix W, since a coloring of the closure is a coloring of
-the k top strands that the word fixes."""
+the k top strands that the word fixes.  The third is taken from a diagonal
+form of the dense W - I over the integers (helpers.kernel_count_over_z),
+which shares no code with the linear counter's elimination mod n."""
 
 from __future__ import annotations
 
@@ -20,11 +22,10 @@ from singquandles import (
     count_colorings_bruteforce,
     count_colorings_linear,
     find_params,
-    kernel_count_mod,
     sigma,
     tau,
 )
-from helpers import rank_mod_p, renumber, word_matrix
+from helpers import kernel_count_over_z, rank_mod_p, renumber, word_matrix
 
 FAMILY = [p for n in range(1, 13) for p in find_params(n)]
 LIST_LIMIT = 1000
@@ -53,7 +54,7 @@ def test_three_counts_of_a_closure_agree(word, p, rng):
     closure = braid_closure(word)
     perm = list(range(closure.arcs))
     rng.shuffle(perm)
-    want = kernel_count_mod(fixed_point_system(word, p), word.strands, p.n)
+    want = kernel_count_over_z(fixed_point_system(word, p), word.strands, p.n)
     listing = p.n ** word.strands <= LIST_LIMIT
     s = build_tables(p)
     for diagram in (closure, renumber(closure, perm)):
@@ -97,7 +98,7 @@ def test_long_closure_counts_within_budget():
         count = count_colorings_linear(closure, p).count
         assert time.perf_counter() - start < 1
         assert count == want
-        assert kernel_count_mod(fixed_point_system(word, p), 8, p.n) == want
+        assert kernel_count_over_z(fixed_point_system(word, p), 8, p.n) == want
     system = fixed_point_system(word, AlexanderParams(10, 9, 4))
     assert (2 ** (8 - rank_mod_p(system, 8, 2))
             * 5 ** (8 - rank_mod_p(system, 8, 5))) == 400

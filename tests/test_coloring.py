@@ -48,8 +48,8 @@ from singquandles import (
     tangle_relation,
     tau,
 )
-from singquandles.coloring import (_linear_plan, _loops, _passes, _skeleton,
-                                   _substitute, _tables, _vacuous)
+from singquandles.coloring import (_compile, _linear_plan, _loops, _passes,
+                                   _skeleton, _substitute, _tables, _vacuous)
 from singquandles.cli import main
 from helpers import color_count_oracle, color_set_oracle, renumber
 
@@ -489,6 +489,31 @@ def test_one_plan_binds_to_each_structures_tables():
                 assert list(listed.colorings) == color_set_oracle(d, s)
         info = _skeleton.cache_info()
         assert (info.misses, info.hits) == (len(diagrams), 3 * len(diagrams))
+
+
+def test_every_solving_pair_saves_seeds():
+    # with any one pair of legs left out of _PAIRS these 60 closures take
+    # more seeds than the 2,409 they take with all of them, under the linear
+    # members with n <= 12; without the singular pair (0, 2) or (2, 3),
+    # some quarter-turned fig9 diagram takes 3 under a class of orders 1-5
+    rng = random.Random(3)
+    closures = [braid_closure(random_word(rng, rng.randint(2, 4),
+                                          rng.randint(4, 16)))
+                for _ in range(60)]
+    members = [build_tables(p) for n in range(1, 13) for p in find_params(n)]
+    assert len(members) == 19
+    assert sum(len(_compile(d, s)[0]) for d in closures for s in members) <= 2409
+
+    def turns(d, index):
+        for _ in range(4):
+            yield d
+            d = rotate_singular(d, index)
+
+    turned = [e for d in (gen_fig9_left(), gen_fig9_right())
+              for c in turns(d, 0) for e in turns(c, 1)]
+    classes = [s for n in range(1, 6)
+               for s in enumerate_singquandles(n, up_to_iso=True).structures]
+    assert max(len(_compile(d, s)[0]) for d in turned for s in classes) <= 2
 
 
 def test_plan_caches_stay_bounded():

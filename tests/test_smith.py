@@ -4,13 +4,30 @@ import random
 from itertools import product
 from math import gcd
 
-import pytest
-
-from singquandles import kernel_count_mod, kernel_vectors_mod
+from singquandles.smith import _kernel, _sparse_row
 from helpers import rank_mod_p
 
 # n = 1, primes, prime powers and composites
 MODULI = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+
+
+def kernel(matrix, ncols, n, listing=False):
+    """_kernel on the sparse rows of a dense matrix."""
+    return _kernel([_sparse_row(row, n) for row in matrix], ncols, n, listing)
+
+
+def kernel_count(matrix, ncols, n):
+    return kernel(matrix, ncols, n)[0]
+
+
+def kernel_vectors(matrix, ncols, n):
+    """Every c = V y mod n, y_j running over the multiples of
+    n // gcd(d_j, n), from _kernel's diagonal and V."""
+    _, diag, v = kernel(matrix, ncols, n, listing=True)
+    steps = [range(0, n, n // gcd(diag.get(j, 0), n)) for j in range(ncols)]
+    return [tuple(sum(yj * vj.get(i, 0) for yj, vj in zip(y, v)) % n
+                  for i in range(ncols))
+            for y in product(*steps)]
 
 
 def kernel_oracle(matrix, ncols, n):
@@ -47,8 +64,8 @@ def test_kernel_count_matches_enumeration():
                 for _ in range(3):
                     matrix = random_matrix(rng, nrows, ncols, n)
                     want = kernel_oracle(matrix, ncols, n)
-                    assert kernel_count_mod(matrix, ncols, n) == len(want)
-                    assert sorted(kernel_vectors_mod(matrix, ncols, n)) == want
+                    assert kernel_count(matrix, ncols, n) == len(want)
+                    assert sorted(kernel_vectors(matrix, ncols, n)) == want
 
 
 SQUAREFREE = {2: (2,), 3: (3,), 5: (5,), 6: (2, 3), 7: (7,), 10: (2, 5),
@@ -75,14 +92,12 @@ def test_kernel_count_matches_rank_mod_primes_on_large_matrices():
             want = 1
             for p in primes:
                 want *= p ** (ncols - rank_mod_p(matrix, ncols, p))
-            assert kernel_count_mod(matrix, ncols, n) == want, (n, matrix)
+            assert kernel_count(matrix, ncols, n) == want, (n, matrix)
 
 
 def test_kernel_edge_cases():
-    assert kernel_count_mod([], 3, 5) == 125
-    assert sorted(kernel_vectors_mod([], 1, 3)) == [(0,), (1,), (2,)]
-    assert kernel_count_mod([[2]], 1, 4) == gcd(2, 4)
-    assert kernel_count_mod([[1, 1]], 2, 7) == 7
-    assert kernel_count_mod([[0, 0]], 2, 7) == 49
-    with pytest.raises(ValueError):
-        kernel_count_mod([[1]], 1, 0)
+    assert kernel_count([], 3, 5) == 125
+    assert sorted(kernel_vectors([], 1, 3)) == [(0,), (1,), (2,)]
+    assert kernel_count([[2]], 1, 4) == gcd(2, 4)
+    assert kernel_count([[1, 1]], 2, 7) == 7
+    assert kernel_count([[0, 0]], 2, 7) == 49
