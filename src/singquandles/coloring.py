@@ -10,12 +10,11 @@ diagonalized.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice, product
 from math import gcd
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .alexander import AlexanderParams
 from .diagrams import Classical, Singular, SingularDiagram
@@ -333,19 +332,61 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     if not list_colorings:
         return ColoringReport(count, BACKEND_BRUTE)
 
-    def widen(head):
-        coloring = list(head)
-        for values in product(range(n), repeat=len(unread)):
+    # a leaf ranked cap or later only widens past the first cap colorings
+    heads = sorted(kept)[:cap]
+    if unread and heads:
+        heads = _widen(heads, unread, n)
+    listed = _with_tails(heads, n, diagram.free, cap)
+    return ColoringReport(count, BACKEND_BRUTE, listed, len(listed) < count)
+
+
+def _widen(heads: list, unread: list, n: int):
+    """The sorted heads, which hold None at the unread arcs, each with
+    every coloring of those arcs, in lexicographic order.
+
+    One frame per unread arc holds the group of heads that agree on the
+    arcs before it, the end of the group one level up, and the arc's color.
+    So memory does not grow with the heads, and any number of unread arcs
+    is fine.
+    """
+    depth = len(unread)
+    frames = []
+    values = [0] * depth
+    start, stop = 0, len(heads)
+    while True:
+        level = len(frames)
+        if level < depth:
+            # the group of heads[start:stop] that agree with the first on
+            # the arcs before the next unread arc, which takes color 0
+            u = unread[level]
+            key = heads[start][:u]
+            end = start + 1
+            while end < stop and heads[end][:u] == key:
+                end += 1
+            frames.append((start, end, stop))
+            values[level] = 0
+            stop = end
+            continue
+        for i in range(start, stop):
+            coloring = list(heads[i])
             for x, v in zip(unread, values):
                 coloring[x] = v
             yield tuple(coloring)
-
-    # a leaf ranked cap or later only widens past the first cap colorings
-    heads = sorted(kept)[:cap]
-    if unread:
-        heads = heapq.merge(*map(widen, heads))
-    listed = _with_tails(heads, n, diagram.free, cap)
-    return ColoringReport(count, BACKEND_BRUTE, listed, len(listed) < count)
+        # the next color of the deepest arc that has one left, else the
+        # next group at its level
+        while frames:
+            level = len(frames) - 1
+            start, end, stop = frames[level]
+            if values[level] + 1 < n:
+                values[level] += 1
+                stop = end
+                break
+            frames.pop()
+            if end < stop:
+                start = end
+                break
+        else:
+            return
 
 
 def _with_tails(heads, n: int, free: int, cap: int) -> tuple:
@@ -475,6 +516,14 @@ def count_colorings_linear(diagram: SingularDiagram, p: AlexanderParams,
     lists over the free columns (_substitute), and the diagonalization mod
     n of the residual rows.  A listing expands each generator of the
     kernel once into colors of the arcs, and sums their multiples.
+
+    A listed coloring is held as one int, the arcs' colors its digits of w
+    bytes, arc 0 the most significant, with w the least width such that
+    2n <= 2 ** (8w - 1): one byte for n <= 64, two for n <= 16384.  So
+    sorting the ints sorts the colorings, and two colorings add as ints:
+    no digit of the sum passes 2n - 2, so none carries into the next, and
+    each digit is reduced mod n at once, by taking n from every digit
+    whose top bit adding 2 ** (8w - 1) - n sets.
     """
     n = p.n
     coefficients = p.coefficients
@@ -507,13 +556,33 @@ def count_colorings_linear(diagram: SingularDiagram, p: AlexanderParams,
         if n > 1:
             generators += [([int(c == k) for c in of], 1)
                            for k in range(walked, classes)]
-        vectors = [(0,) * diagram.arcs]
+        # each coloring as one int of w-byte digits (above): lift holds
+        # 2 ** top - n in every digit and high each digit's top bit
+        w = (2 * n - 1).bit_length() // 8 + 1
+        size = diagram.arcs * w
+        top = 8 * w - 1
+        lift = int.from_bytes(((1 << top) - n).to_bytes(w, "big") * diagram.arcs,
+                              "big")
+        high = int.from_bytes((1 << top).to_bytes(w, "big") * diagram.arcs,
+                              "big")
+        vectors = [0]
         for generator, step in generators:
-            multiples = [[k * x for x in generator] for k in range(0, n, step)]
-            vectors = [tuple(map(n.__rmod__, map(add, c, m)))
-                       for c in vectors for m in multiples]
+            packed = int.from_bytes(b"".join([(step * x % n).to_bytes(w, "big")
+                                              for x in generator]), "big")
+            multiples = [0]
+            for _ in range(n // step - 1):
+                t = multiples[-1] + packed
+                multiples.append(t - (((t + lift) & high) >> top) * n)
+            vectors = [t - (((t + lift) & high) >> top) * n
+                       for c in vectors for m in multiples for t in (c + m,)]
         vectors.sort()
-        colorings = _with_tails(vectors, n, diagram.free, cap)
+        if w == 1:
+            heads = [tuple(c.to_bytes(size, "big")) for c in vectors]
+        else:
+            heads = [tuple(int.from_bytes(b[i:i + w], "big")
+                           for i in range(0, size, w))
+                     for b in (c.to_bytes(size, "big") for c in vectors)]
+        colorings = _with_tails(heads, n, diagram.free, cap)
     truncated = list_colorings and (colorings is None or len(colorings) < count)
     return ColoringReport(count, BACKEND_LINEAR, colorings, truncated)
 

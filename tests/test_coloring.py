@@ -5,7 +5,7 @@ import random
 import time
 import tracemalloc
 from dataclasses import replace
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +186,70 @@ def test_linear_matches_oracle_on_random_diagrams():
         assert list(report.colorings) == color_set_oracle(diagram, build_tables(p))
 
 
+def holds(coloring, diagram: SingularDiagram, p: AlexanderParams) -> bool:
+    """Whether coloring satisfies every crossing's congruence mod p.n."""
+    (sx, sy), (ax, ay), (bx, by) = p.coefficients
+    n, c = p.n, coloring
+    for cr in diagram.crossings:
+        if isinstance(cr, Classical):
+            if c[cr.c] != (sx * c[cr.a] + sy * c[cr.b]) % n:
+                return False
+        elif (c[cr.sw] != (ax * c[cr.nw] + ay * c[cr.ne]) % n
+              or c[cr.se] != (bx * c[cr.nw] + by * c[cr.ne]) % n):
+            return False
+    return True
+
+
+# a listed coloring is an int with digits of 1, 2, 2, 3 and 3 bytes: (64, 1,
+# 32) and (16384, 1, 8192) are the largest n of their widths, and only their
+# star passes its input through; (65, 14, 13), (16385, 1016, 7105) and
+# (16390, 3279, 3278) are the least n of theirs, or near it, and no table
+# passes its input through
+@pytest.mark.parametrize("n, t, b", [(64, 1, 32), (16384, 1, 8192),
+                                     (65, 14, 13), (16385, 1016, 7105),
+                                     (16390, 3279, 3278)])
+def test_linear_listings_at_every_digit_width(n, t, b):
+    p = AlexanderParams(n, t, b)
+    diagrams = [gen_fig9_left(), gen_fig9_right(),
+                SingularDiagram(1, (Classical(0, 0, 0),)),
+                SingularDiagram(2, (Classical(0, 1, 0),)),
+                SingularDiagram(2, (Singular(0, 1, 1, 0),)),
+                SingularDiagram(2, (Singular(0, 1, 0, 1), Classical(1, 0, 0)))]
+    diagrams += [braid_closure(parse_word(w)) for w in (
+        "s1 s2 t1 t2 t1", "s1' t2 s2 s2 s1' t1 s1", "s2 t2 s1' s1' t1 t2",
+        "s1' s1' s1' s1' s1'")]
+    counts = []
+    for diagram in diagrams:
+        count = count_colorings_linear(diagram, p).count
+        if count > 10 ** 5:
+            continue
+        counts.append(count)
+        full = count_colorings_linear(diagram, p, list_colorings=True)
+        listed = full.colorings
+        assert full.count == len(listed) == count and not full.truncated
+        assert all(a < b for a, b in zip(listed, listed[1:]))
+        assert all(len(c) == diagram.arcs and holds(c, diagram, p)
+                   for c in listed)
+        if n ** diagram.arcs <= 5000:
+            assert list(listed) == color_set_oracle(diagram, build_tables(p))
+        # a cap below the count of arc colorings lists none; with a free
+        # circle a cap above it lists a prefix of the full listing
+        cut = count_colorings_linear(diagram, p, list_colorings=True,
+                                     cap=count - 1)
+        assert cut.colorings is None and cut.truncated
+        circle = replace(diagram, free=1)
+        cut = count_colorings_linear(circle, p, list_colorings=True,
+                                     cap=count + 3)
+        assert cut.truncated
+        assert cut.colorings == tuple(islice(
+            (c + (x,) for c in listed for x in range(n)), count + 3))
+    # the largest n of a width lists constant colorings only; the others
+    # list more, and (16390, 3279, 3278) takes a kernel generator whose
+    # multiples step by more than 1
+    assert max(counts) > n or n in (16384, 16385)
+    assert n != 16390 or 81950 in counts
+
+
 def test_three_counts_agree_on_random_diagrams():
     # diagrams that are not braid closures, under every valid linear
     # structure of order <= 8: brute force, linear and the oracle
@@ -276,6 +340,62 @@ def test_unreferenced_arcs_and_free_circles(alex543):
                                         cap=10 ** 5)
     assert len(report.colorings) == 5 * 25 * 25
     assert report.colorings == tuple(sorted(report.colorings))
+
+
+def test_listing_widens_unread_arcs_in_order(small_census):
+    # crossings on some arcs only, so the others, and the arcs of kinks a
+    # structure makes vacuous, are unread; the listing must still be the
+    # sorted product of every arc's colors, filtered
+    rng = random.Random(2503)
+    widened = 0
+    for _ in range(150):
+        s = rng.choice(small_census)
+        arcs = rng.randint(2, 6)
+        while s.order ** arcs > 4096:
+            arcs -= 1
+        read = rng.sample(range(arcs), rng.randint(1, arcs))
+        crossings = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                crossings.append(Classical(*(rng.choice(read) for _ in range(3))))
+            else:
+                crossings.append(Singular(*(rng.choice(read) for _ in range(4))))
+        diagram = SingularDiagram(arcs, tuple(crossings), rng.randint(0, 1))
+        widened += bool(_compile(diagram, s)[1])
+        want = color_set_oracle(diagram, s)
+        for cap in (0, 1, 5, 10 ** 6):
+            report = count_colorings_bruteforce(diagram, s,
+                                                list_colorings=True, cap=cap)
+            assert report.count == len(want)
+            assert list(report.colorings) == want[:cap]
+    assert widened > 100
+
+
+def test_listing_memory_does_not_grow_with_the_heads():
+    # the trivial star copies each crossing's first input to its output, so
+    # 4 crossings on 12 arcs leave 4^8 colorings; shifted up one arc, arc 0
+    # is unread and each of the 5,000 kept heads is widened by its colors
+    star = make_trivial_quandle(4)
+    s = Singquandle(star, star, star)
+    listings, peaks = [], []
+    for shift in (0, 1):
+        diagram = SingularDiagram(12 + shift, tuple(
+            Classical(3 * i + shift, 3 * i + 1 + shift, 3 * i + 2 + shift)
+            for i in range(4)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = count_colorings_bruteforce(diagram, s,
+                                                list_colorings=True, cap=5000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.count == 4 ** (8 + shift)
+        listings.append(report.colorings)
+    assert listings[1] == tuple((0,) + c for c in listings[0])
+    # a generator per head peaked at 4.5 times the listing without unread
+    # arcs
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_listing_of_many_free_circles_stops_at_the_cap():
