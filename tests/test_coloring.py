@@ -243,9 +243,10 @@ def test_linear_listings_at_every_digit_width(n, t, b):
         assert cut.truncated
         assert cut.colorings == tuple(islice(
             (c + (x,) for c in listed for x in range(n)), count + 3))
-    # the largest n of a width lists constant colorings only; the others
-    # list more, and (16390, 3279, 3278) takes a kernel generator whose
-    # multiples step by more than 1
+    # under (16384, 1, 8192) and (16385, 1016, 7105) these diagrams have
+    # only constant colorings or more than 10^5; the others list more, and
+    # (16390, 3279, 3278) a kernel generator whose multiples step by more
+    # than 1
     assert max(counts) > n or n in (16384, 16385)
     assert n != 16390 or 81950 in counts
 
@@ -393,8 +394,8 @@ def test_listing_memory_does_not_grow_with_the_heads():
         assert report.count == 4 ** (8 + shift)
         listings.append(report.colorings)
     assert listings[1] == tuple((0,) + c for c in listings[0])
-    # a generator per head peaked at 4.5 times the listing without unread
-    # arcs
+    # with a generator per kept head the shifted listing peaked at 4.4
+    # times the unshifted one
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
