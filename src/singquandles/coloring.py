@@ -1,11 +1,10 @@
 """Coloring counts of singular diagrams by finite singquandles.
 
-Two backends: a search over a static plan compiled from the diagram, for
-arbitrary tables, and exact linear algebra modulo n for the linear family,
-where every crossing constraint is a linear congruence: the arcs that a
-table passes straight through are merged, the arcs that the crossings
-define are substituted out, and only the equations left over are
-diagonalized.
+Both backends run on one quotient of the diagram, the arcs that a table
+passes straight through merged: a search over a static plan, for
+arbitrary tables, and exact linear algebra modulo n for the linear
+family, where the arcs that the crossings define are substituted out and
+only the equations left over are diagonalized.
 """
 
 from __future__ import annotations
@@ -14,10 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice, product
 from math import gcd
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .alexander import AlexanderParams
-from .diagrams import Classical, Singular, SingularDiagram
+from .diagrams import Singular, SingularDiagram
 from .smith import _kernel, _sparse_row
 from .tables import Singquandle
 
@@ -75,8 +74,8 @@ def _slot(kind: int, pair: int, p: int) -> int:
 def _tables(forward: tuple):
     """The signature of a crossing kind whose outputs are read off the
     forward tables (star alone, or r1 and r2), the bitmask of the slots
-    whose table is None, and a function that gives the table in any other
-    slot, built the first time it is asked for.
+    whose table is None, the tables' pass-through pattern (_quotient), and
+    a function that gives the table in any other slot, built on demand.
 
     The table in the slot of (q, r, p) gives leg p of a crossing of the
     kind as a function of legs q and r.  It is None if two inputs give legs
@@ -125,40 +124,60 @@ def _tables(forward: tuple):
             t = built[slot] = tuple(map(tuple, rows))
         return t
 
-    return unset, table
+    passes = tuple((0 if cp == first else 1 if cp == second else None,
+                    cp[::n + 1] == first[::n + 1]) for cp in legs[2:])
+    return unset, passes, table
 
 
-@lru_cache(maxsize=_DIAGRAMS_KEPT)
-def _loops(diagram: SingularDiagram) -> tuple:
-    """The crossings whose outputs are among their inputs, the only ones
-    that can be vacuous, by index."""
-    return tuple(i for i, cr in enumerate(diagram.crossings)
-                 if set(cr.labels[:2]).issuperset(cr.labels[2:]))
+def _quotient(diagram: SingularDiagram, passes: tuple) -> tuple:
+    """(roots, left): the quotient that both backends' plans run on.
 
-
-def _vacuous(cr, s: Singquandle) -> bool:
-    """Whether crossing cr, whose outputs are among its inputs, holds under
-    every coloring of its arcs.
-
-    Such a crossing, a kink under an idempotent star say, constrains
-    nothing, so its arcs may be left to count n each, like arcs no crossing
-    touches.
+    passes gives, per star, r1 and r2, the input its table passes through
+    on all pairs (0, 1 or None) and whether it passes x through at (x, x),
+    the one pair a crossing with one arc for both inputs reads.  Each
+    output so passed through is merged with that input by union-find, the
+    least arc of a class its root, and roots maps the other merged arcs to
+    their roots.  left holds each crossing with an output not merged as its
+    inputs and its (output, 0, 1 or 2 for star, r1 or r2), by label.
     """
-    labels = cr.labels
-    a, b = labels[:2]
-    n = s.order
-    pairs = [(x, x) for x in range(n)] if a == b else product(range(n), repeat=2)
-    tables = (s.r1.rows, s.r2.rows) if isinstance(cr, Singular) else (s.star.rows,)
-    return all(rows[x][y] == {a: x, b: y}[out]
-               for x, y in pairs for rows, out in zip(tables, labels[2:]))
+    parent = {}
+
+    def find(x):
+        while x in parent:
+            up = parent[x]
+            if up in parent:
+                up = parent[x] = parent[up]
+            x = up
+        return x
+
+    left = []
+    for cr in diagram.crossings:
+        if isinstance(cr, Singular):
+            a, b, outs = cr.nw, cr.ne, ((cr.sw, 1), (cr.se, 2))
+        else:
+            a, b, outs = cr.a, cr.b, ((cr.c, 0),)
+        kept = False
+        for out, which in outs:
+            side, diagonal = passes[which]
+            if side is None and not (diagonal and a == b):
+                kept = True
+                continue
+            x, y = find(out), find(b if side else a)
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
+        if kept:
+            left.append((a, b, outs))
+    return {x: find(x) for x in parent}, left
 
 
 @lru_cache(maxsize=_DIAGRAMS_KEPT)
-def _skeleton(diagram: SingularDiagram, unset: tuple, vacuous: tuple):
-    """The static search plan for every structure whose signatures, per
-    crossing kind, are unset and under which the crossings in vacuous are
-    vacuous: one step (seed, ops) per seed arc, and the unread arcs, which
-    no crossing constrains.  An op names its table by kind and slot.
+def _skeleton(diagram: SingularDiagram, unset: tuple, passes: tuple):
+    """The static search plan on the quotient (_quotient) for every
+    structure whose signatures, per crossing kind, are unset and whose
+    pattern is passes: one step (seed, ops) per seed arc, the unread arcs
+    and the roots.  An op names its table by kind and slot.
 
     After each seed, every crossing whose two input legs are known fires:
     its outputs are looked up in the tables (star for classical crossings,
@@ -172,20 +191,21 @@ def _skeleton(diagram: SingularDiagram, unset: tuple, vacuous: tuple):
     The first seed is the lowest-index arc; each later one is the unknown
     input, of a crossing with one input known, that lets the most arcs be
     learned.  So the seeds, and the cost, hardly hang on how the arcs are
-    numbered.  Vacuous crossings are left out, so an arc that no other
-    crossing touches is unread and gets no step.  Which inverse tables a
-    plan reads hangs on the tables only through which of them are None, so
-    one plan serves every structure with the same signature.
+    numbered.  A root that no crossing left touches is unread and gets no
+    step, and a merged arc is neither.  Which inverse tables a plan reads
+    hangs on the tables only through which of them are None, so one plan
+    serves every structure with the same signature and pattern.
     """
+    roots, left = _quotient(diagram, passes)
     crossings = []
     touching = [[] for _ in range(diagram.arcs)]
-    for i, cr in enumerate(diagram.crossings):
-        if i not in vacuous:
-            for x in set(cr.labels):
-                touching[x].append(len(crossings))
-            crossings.append((cr.labels, int(isinstance(cr, Singular))))
+    for a, b, outs in left:
+        legs = tuple(roots.get(x, x) for x in (a, b, *(out for out, _ in outs)))
+        for x in set(legs):
+            touching[x].append(len(crossings))
+        crossings.append((legs, len(outs) - 1))
     known = [not t for t in touching]
-    unread = [x for x, t in enumerate(touching) if not t]
+    unread = [x for x, t in enumerate(touching) if not t and x not in roots]
     fired = [False] * len(crossings)
     solved = set()
 
@@ -253,7 +273,7 @@ def _skeleton(diagram: SingularDiagram, unset: tuple, vacuous: tuple):
         while low < diagram.arcs and known[low]:
             low += 1
         if low == diagram.arcs:
-            return tuple(plan), tuple(unread)
+            return tuple(plan), tuple(unread), roots
         ready = sorted({x for legs, _ in crossings
                         if known[legs[0]] != known[legs[1]]
                         for x in legs[:2] if not known[x]})
@@ -265,21 +285,16 @@ def _skeleton(diagram: SingularDiagram, unset: tuple, vacuous: tuple):
 
 
 def _compile(diagram: SingularDiagram, s: Singquandle):
-    """The static search plan under s's tables, and the unread arcs: the
-    plan of _skeleton, its slots bound to s's tables.
-
-    The tables, with their signature, are built once per crossing kind of
-    a structure, the classical ones once per star, and the skeleton once
-    per diagram, signatures and set of vacuous crossings, each in a small
-    cache, so a call mostly binds slots to tables.
+    """The plan, unread arcs and roots of _skeleton, the plan's slots bound
+    to s's tables.  The tables are built once per crossing kind of a
+    structure (the classical ones once per star) and the skeleton once per
+    diagram, signatures and pattern, so a call mostly binds slots.
     """
-    unset, table = zip(_tables((s.star.rows,)), _tables((s.r1.rows, s.r2.rows)))
-    crossings = diagram.crossings
-    vacuous = tuple(i for i in _loops(diagram) if _vacuous(crossings[i], s))
-    plan, unread = _skeleton(diagram, unset, vacuous)
+    unset, passes, table = zip(_tables((s.star.rows,)), _tables((s.r1.rows, s.r2.rows)))
+    plan, unread, roots = _skeleton(diagram, unset, passes[0] + passes[1])
     return [(seed, tuple([(table[kind](slot), a, b, out, check)
                           for kind, slot, a, b, out, check in ops]))
-            for seed, ops in plan], unread
+            for seed, ops in plan], unread, roots
 
 
 def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
@@ -292,10 +307,12 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     meets, so it costs about what the count does, whatever the numbering.
     The search keeps its own stack, so any number of seeds is fine.
     """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     n = s.order
     # an unread arc takes any color: each leaf of the search stands for n
     # colorings per unread arc and per free circle
-    plan, unread = _compile(diagram, s)
+    plan, unread, roots = _compile(diagram, s)
     color = [None] * diagram.arcs
     # with no seeds, the search's one leaf is the empty coloring
     leaves = 0 if plan else 1
@@ -336,6 +353,9 @@ def count_colorings_bruteforce(diagram: SingularDiagram, s: Singquandle,
     heads = sorted(kept)[:cap]
     if unread and heads:
         heads = _widen(heads, unread, n)
+    if roots:
+        # a merged arc takes the color of its root, an arc before it
+        heads = map(itemgetter(*[roots.get(x, x) for x in range(diagram.arcs)]), heads)
     listed = _with_tails(heads, n, diagram.free, cap)
     return ColoringReport(count, BACKEND_BRUTE, listed, len(listed) < count)
 
@@ -411,73 +431,52 @@ def _linear_plan(diagram: SingularDiagram, passes: tuple) -> tuple:
     plan of every linear structure whose pass-through pattern (_passes) is
     passes.
 
-    Each output that equals one of its inputs is first joined to that
-    input by union-find.  The colorings are those of the quotient, each
-    class of arcs taking one color; classes counts the classes, an arc
-    that no crossing touches being one of its own, and roots maps each arc
-    that is not the root of its class to the root.  Then the other output
-    equations are walked in crossing order, on the classes.  An input
-    class met for the first time is free and takes the next of the columns.
-    An output class met for the first time, and not among its own
-    crossing's inputs, is defined by its equation, out = x * in1 + y * in2
-    with (x, y) the coefficients of star, r1 or r2.  Every other equation,
-    its classes substituted, leaves one residual row.  Each defined class
-    has just the one equation that defines it, and a class the walk never
-    meets takes any color.  On a braid closure only the strands whose
-    bottom arc is a crossing output leave a residual row.
+    The colorings are those of the quotient (_quotient), each class of
+    arcs taking one color; classes counts the classes, an arc that no
+    crossing touches being one of its own, and roots maps each merged arc
+    that is not a root to its root.  The output equations of the crossings
+    left that are not merged are walked in crossing order, on the classes.
+    An input class met for the first time is free and takes the next of
+    the columns.  An output class met for the first time, and not among
+    its own crossing's inputs, is defined by its equation, out = x * in1 +
+    y * in2 with (x, y) the coefficients of star, r1 or r2.  Every other
+    equation, its classes substituted, leaves one residual row.  Each
+    defined class has just the one equation that defines it, and a class
+    the walk never meets takes any color.  On a braid closure only the
+    strands whose bottom arc is a crossing output leave a residual row.
 
     index numbers the walked classes by root, in the order the walk meets
     them.  template holds, at each walked class, its column's unit vector
     if it is free, and None if it is defined.  A step (out, which, a, b,
     defines) is one equation on those numbers, which naming star, r1 or r2.
     """
-    parent = {}
-
-    def find(x):
-        while x in parent:
-            up = parent[x]
-            if up in parent:
-                up = parent[x] = parent[up]
-            x = up
-        return x
-
-    equations = []
-    for cr in diagram.crossings:
-        if isinstance(cr, Classical):
-            ins, outs = (cr.a, cr.b), ((cr.c, 0),)
-        else:
-            ins, outs = (cr.nw, cr.ne), ((cr.sw, 1), (cr.se, 2))
-        for out, which in outs:
-            side = passes[which]
-            if side is None:
-                equations.append((out, which, *ins))
-            else:
-                out, into = find(out), find(ins[side])
-                if out != into:
-                    parent[out] = into
-    roots = {x: find(x) for x in parent}
-
+    # each coefficient pair sums to 1 mod n, so x * x == x for every table
+    roots, left = _quotient(diagram, tuple((side, True) for side in passes))
     index = {}
     # each walked class's column, None for a defined one
     column = []
     columns = 0
     steps = []
-    for out, which, a, b in equations:
-        a, b, out = roots.get(a, a), roots.get(b, b), roots.get(out, out)
-        for x in (a, b):
-            if x not in index:
-                index[x] = len(column)
-                column.append(columns)
-                columns += 1
-        defines = out not in index
-        if defines:
-            index[out] = len(column)
-            column.append(None)
-        steps.append((index[out], which, index[a], index[b], defines))
+    for a, b, outs in left:
+        a, b = roots.get(a, a), roots.get(b, b)
+        for out, which in outs:
+            if passes[which] is not None:
+                continue
+            out = roots.get(out, out)
+            for x in (a, b):
+                if x not in index:
+                    index[x] = len(column)
+                    column.append(columns)
+                    columns += 1
+            defines = out not in index
+            if defines:
+                index[out] = len(column)
+                column.append(None)
+            steps.append((index[out], which, index[a], index[b], defines))
     template = tuple(None if k is None
                      else tuple(int(i == k) for i in range(columns))
                      for k in column)
-    return (diagram.arcs - len(parent), columns, template, tuple(steps),
+    return (diagram.arcs - len(roots), columns, template, tuple(steps),
             roots, index)
 
 
@@ -505,17 +504,16 @@ def count_colorings_linear(diagram: SingularDiagram, p: AlexanderParams,
     """Coloring count for a linear structure: the size of the kernel mod n
     of its congruence system.
 
-    The plan (_linear_plan) is kept per diagram and pass-through pattern:
-    it merges each arc that a table passes straight through with its
-    input into one class, and walks the rest of the equations on the
-    classes.  The valid members have three patterns: no table passes an
-    input through; only star does (t = 1, b != 0); or all three do
-    ((n, 1, 0), and every member with n = 1), and then the plan has no
-    steps and the count is n to the number of classes and free circles.
-    Per member only the arithmetic is left: the combinations, on dense
-    lists over the free columns (_substitute), and the diagonalization mod
-    n of the residual rows.  A listing expands each generator of the
-    kernel once into colors of the arcs, and sums their multiples.
+    The plan (_linear_plan) is kept per diagram and pass-through pattern,
+    and walks the equations left on the quotient (_quotient).  The valid
+    members have three patterns: no table passes an input through; only
+    star does (t = 1, b != 0); or all three do ((n, 1, 0), and every
+    member with n = 1), and then the plan has no steps and the count is n
+    to the number of classes and free circles.  Per member only the
+    arithmetic is left: the combinations, on dense lists over the free
+    columns (_substitute), and the diagonalization mod n of the residual
+    rows.  A listing expands each generator of the kernel once into colors
+    of the arcs, and sums their multiples.
 
     A listed coloring is held as one int, the arcs' colors its digits of w
     bytes, arc 0 the most significant, with w the least width such that
@@ -525,6 +523,8 @@ def count_colorings_linear(diagram: SingularDiagram, p: AlexanderParams,
     each digit is reduced mod n at once, by taking n from every digit
     whose top bit adding 2 ** (8w - 1) - n sets.
     """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     n = p.n
     coefficients = p.coefficients
     classes, columns, template, steps, roots, index = _linear_plan(

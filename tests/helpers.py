@@ -18,8 +18,11 @@ from singquandles import (
     OpTable,
     Singquandle,
     SingularDiagram,
+    TangleWord,
     check_all,
     check_table,
+    sigma,
+    tau,
 )
 
 
@@ -231,6 +234,19 @@ def renumber(diagram, perm):
     return SingularDiagram(diagram.arcs, tuple(
         type(cr)(*(perm[x] for x in cr.labels)) for cr in diagram.crossings),
         diagram.free)
+
+
+def random_word(rng, strands: int, length: int) -> TangleWord:
+    """A word of length letters on strands strands, about 30 % of them
+    singular and half the classical ones mirrored."""
+    letters = []
+    for _ in range(length):
+        i = rng.randint(1, strands - 1)
+        if rng.random() < 0.3:
+            letters.append(tau(i))
+        else:
+            letters.append(sigma(i, mirrored=rng.random() < 0.5))
+    return TangleWord(tuple(letters), strands)
 
 
 def word_matrix(word, p):

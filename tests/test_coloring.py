@@ -48,10 +48,10 @@ from singquandles import (
     tangle_relation,
     tau,
 )
-from singquandles.coloring import (_compile, _linear_plan, _loops, _passes,
-                                   _skeleton, _substitute, _tables, _vacuous)
+from singquandles.coloring import (_compile, _linear_plan, _passes, _quotient,
+                                   _skeleton, _substitute, _tables)
 from singquandles.cli import main
-from helpers import color_count_oracle, color_set_oracle, renumber
+from helpers import color_count_oracle, color_set_oracle, random_word, renumber
 
 
 @pytest.fixture(scope="module")
@@ -64,17 +64,6 @@ def small_census():
 def random_table(rng: random.Random, n: int) -> OpTable:
     return OpTable(tuple(tuple(rng.randrange(n) for _ in range(n))
                          for _ in range(n)))
-
-
-def random_word(rng: random.Random, strands: int, length: int) -> TangleWord:
-    letters = []
-    for _ in range(length):
-        i = rng.randint(1, strands - 1)
-        if rng.random() < 0.3:
-            letters.append(tau(i))
-        else:
-            letters.append(sigma(i, mirrored=rng.random() < 0.5))
-    return TangleWord(tuple(letters), strands)
 
 
 def fixed_points(word: TangleWord, s: Singquandle) -> int:
@@ -454,19 +443,16 @@ def test_congruence_rows_merge_an_arc_met_twice(alex543):
     assert linear_system(out_is_in, p) == (
         (2, 2, ((1, 0), (0, 1)), ((0, 0, 0, 1, False),), {}, {0: 0, 1: 1}),
         ([(1, 0), (0, 1)], [{0: 2, 1: -2}]))
-    # in a kink the coefficients sum to 1 - 4 - 2 == 0 mod 5, and for r1
-    # and r2 to 1 - (1 - t - b) - (t + b) == 0: the rows are empty
+    # each coefficient pair sums to 1 mod n, so x * x == x: a kink passes
+    # its arc through and is merged away before the walk, leaving no steps
     kinks = SingularDiagram(2, (Classical(0, 0, 0), Singular(1, 1, 1, 1)))
-    assert linear_system(kinks, p) == (
-        (2, 2, ((1, 0), (0, 1)), ((0, 0, 0, 0, False), (1, 1, 1, 1, False),
-                                  (1, 2, 1, 1, False)), {}, {0: 0, 1: 1}),
-        ([(1, 0), (0, 1)], [{}, {}, {}]))
+    assert linear_system(kinks, p) == ((2, 0, (), (), {}, {}), ([], []))
     both = SingularDiagram(3, (Classical(0, 1, 0), Classical(2, 2, 2),
                                Singular(0, 2, 0, 2)))
     # S 0 2 0 2: both outputs are inputs, two rows that say 2a == 2c
     (_, columns, _, _, _, _), (_, residual) = linear_system(both, p)
     assert columns == 3
-    assert residual == [{0: 2, 1: -2}, {}, {0: 2, 2: -2}, {0: 2, 2: -2}]
+    assert residual == [{0: 2, 1: -2}, {0: 2, 2: -2}, {0: 2, 2: -2}]
     for diagram in (out_is_in, kinks, both):
         report = count_colorings_linear(diagram, p, list_colorings=True)
         assert report.count == color_count_oracle(diagram, alex543)
@@ -564,6 +550,45 @@ def test_brute_matches_oracle_under_arbitrary_tables():
         assert_brute_matches_oracle(random_diagram(rng), s)
 
 
+def test_quotient_merges_what_tables_pass_through():
+    # random tables almost never pass an input through, so here each of
+    # star, r1 and r2 is x * y = x, x * y = y, x * x = x with the other
+    # entries random, or random, on crossings whose labels repeat
+    rng = random.Random(2626)
+
+    def table(n):
+        kind = rng.randrange(4)
+        return OpTable(tuple(tuple(
+            x if kind == 0 or kind == 2 and x == y else y if kind == 1
+            else rng.randrange(n) for y in range(n)) for x in range(n)))
+
+    merged = dropped = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        s = Singquandle(table(n), table(n), table(n))
+        arcs = rng.randint(1, 5)
+        crossings = []
+        for _ in range(rng.randint(1, 4)):
+            a, b, c = (rng.randrange(arcs) for _ in range(3))
+            crossings.append(rng.choice((
+                Classical(a, a, a), Classical(a, b, a), Classical(a, b, b),
+                Singular(a, b, b, a), Singular(a, b, a, c))))
+        d = SingularDiagram(arcs, tuple(crossings), free=rng.randint(0, 1))
+        star, r = _tables((s.star.rows,)), _tables((s.r1.rows, s.r2.rows))
+        roots, left = _quotient(d, star[1] + r[1])
+        merged += bool(roots)
+        dropped += len(left) < len(crossings)
+        assert_brute_matches_oracle(d, s)
+    assert merged > 100 and dropped > 200, (merged, dropped)
+
+
+def test_negative_cap_is_refused_by_both_backends(alex543):
+    for count, s in ((count_colorings_bruteforce, alex543),
+                     (count_colorings_linear, AlexanderParams(5, 4, 3))):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            count(gen_fig9_left(), s, list_colorings=True, cap=-1)
+
+
 def test_no_plan_checks_one_thing_twice():
     # a quarter-turned fig9-left holds arcs 3 and 0 as the same legs of both
     # its crossings, and its plans once filtered them twice, under 225 of the
@@ -579,10 +604,8 @@ def test_no_plan_checks_one_thing_twice():
               for n in (1, 2, 3, 4) for _ in range(100)]
     for d, s in cases:
         # the plan as _compile finds it, before its slots are bound to tables
-        unset = (_tables((s.star.rows,))[0],
-                 _tables((s.r1.rows, s.r2.rows))[0])
-        vacuous = tuple(i for i in _loops(d) if _vacuous(d.crossings[i], s))
-        plan, _ = _skeleton(d, unset, vacuous)
+        star, r = _tables((s.star.rows,)), _tables((s.r1.rows, s.r2.rows))
+        plan, _, _ = _skeleton(d, (star[0], r[0]), star[1] + r[1])
         ops = [op for _, step in plan for op in step]
         assert len(set(ops)) == len(ops), (d, plan)
         want = color_count_oracle(d, s)
@@ -649,7 +672,7 @@ def test_plan_caches_stay_bounded():
             count_colorings_bruteforce(diagram, s)
             count_colorings_linear(diagram, rng.choice(members))
 
-    caches = (_tables, _loops, _skeleton, _linear_plan)
+    caches = (_tables, _skeleton, _linear_plan)
     for cached in caches:
         cached.cache_clear()
     # each batch of 250 counts after a full collection, which also empties
