@@ -50,11 +50,12 @@ def serialize_report(report: ColoringReport) -> str:
 
 
 # The legs a crossing is solved from: each pair but the inputs, for
-# classical (a, b, c) and singular (nw, ne, sw, se) crossings, and each
-# classical leg alone (under a trivial star, c == a).  A lone singular leg
-# seldom fixes another, and a pair with it does so one step later.
-_PAIRS = (((0, 0), (0, 2), (1, 1), (1, 2), (2, 2)),
-          tuple(combinations(range(4), 2))[1:])
+# classical (a, b, c) and singular (nw, ne, sw, se) crossings.  Under an
+# involutive quandle a lone classical leg fixes another only where
+# x * y == x, and then c == a and the quotient has merged the crossing
+# away.  A lone singular leg seldom fixes another, and a pair with it does
+# so one step later.
+_PAIRS = (((0, 2), (1, 2)), tuple(combinations(range(4), 2))[1:])
 
 # the tables kept, one entry per crossing kind of a structure (the star's
 # shared by the structures with that star), and the diagrams whose plans
@@ -82,7 +83,6 @@ def _tables(forward: tuple):
     q and r the same colors and leg p different ones.  It holds None where
     no inputs give legs q and r those colors, so with p == q it is a
     filter, which adds nothing if it passes them all, and is then None too.
-    q == r asks about one leg alone, and the table is read on its diagonal.
     The signature comes from counts of the distinct colors of legs (q, r)
     and, where those do not settle it, of legs (q, r, p), so no table is
     built for it.
@@ -101,7 +101,7 @@ def _tables(forward: tuple):
         met = len(set(zip(cq, cr)))
         for p, cp in enumerate(legs):
             if p == q:
-                vain = met == (n if q == r else n * n)
+                vain = met == n * n
             elif p == r or met == n * n:
                 # with n * n colors, legs q and r fix the inputs, and so
                 # every leg

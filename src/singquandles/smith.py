@@ -10,12 +10,10 @@ entry has d_j = 0.  Then there are prod(gcd(d_j, n)) solutions: c = V y
 mod n, where y_j runs over the multiples of n // gcd(d_j, n).  V is kept
 only when the counter lists the solutions.
 
-The elimination's cost follows the nonzero entries: a column index maps
-each column to the rows that hold it, so clearing a column visits only
-those rows.
+Few rows are left after the counter's substitution, at most one per strand
+of a closure walked in word order, so a pass scans them all for its column.
 """
 
-from collections import defaultdict
 from math import gcd, prod
 
 
@@ -26,28 +24,12 @@ def _sparse_row(entries, n: int) -> dict:
             for k, x in enumerate(entries) if (y := x % n)}
 
 
-def _subtract(rows: list, h: int, src: dict, q: int, n: int, index: dict) -> None:
-    """rows[h] -= q * src mod n, and the column index follows its fill-in
-    and cancellation."""
-    dst = rows[h]
-    for k, x in src.items():
-        old = dst.get(k, 0)
-        y = (old - q * x) % n
-        if y:
-            dst[k] = y - n if 2 * y > n else y
-            if not old:
-                index[k].add(h)
-        elif old:
-            del dst[k]
-            index[k].remove(h)
-
-
-def _combine(dst: dict, src: dict, q: int, n: int) -> None:
-    """dst -= q * src mod n, on sparse columns of V."""
+def _subtract(dst: dict, src: dict, q: int, n: int) -> None:
+    """dst -= q * src mod n, on sparse rows or columns of V."""
     for k, x in src.items():
         y = (dst.get(k, 0) - q * x) % n
         if y:
-            dst[k] = y
+            dst[k] = y - n if 2 * y > n else y
         else:
             dst.pop(k, None)
 
@@ -71,39 +53,32 @@ def _diagonalize(rows: list, n: int, v: list | None = None) -> dict:
     is alone in its row as well, d_j = p and the pass ends.  Pivots shrink
     within a pass, so each pass ends, and each takes one row out.
     """
-    index = defaultdict(set)
-    for h, row in enumerate(rows):
-        for k in row:
-            index[k].add(h)
     diag = {}
     for start, row in enumerate(rows):
         while row:
-            i, j = start, _least(row, row)
+            j = _least(row, row)
             while True:
                 p = row[j]
                 left = None
-                for h in list(index[j]):
-                    if h != i:
-                        other = rows[h]
-                        _subtract(rows, h, row, other[j] // p, n, index)
+                for other in rows[start:]:
+                    if j in other and other is not row:
+                        _subtract(other, row, other[j] // p, n)
                         if j in other and (left is None
-                                           or abs(other[j]) < abs(rows[left][j])):
-                            left = h
+                                           or abs(other[j]) < abs(left[j])):
+                            left = other
                 if left is not None:
-                    i, row = left, rows[left]
+                    row = left
                     continue
                 for k in [k for k in row if k != j]:
                     q, x = divmod(row[k], p)
                     if v is not None and q:
-                        _combine(v[k], v[j], q, n)
+                        _subtract(v[k], v[j], q, n)
                     if x:
                         row[k] = x
                     else:
                         del row[k]
-                        index[k].remove(i)
                 if len(row) == 1:
                     diag[j] = row.pop(j)
-                    index[j].remove(i)
                     break
                 j = _least(row, (k for k in row if k != j))
             row = rows[start]

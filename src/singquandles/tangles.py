@@ -84,7 +84,7 @@ def parse_word(text: str, strands: int | None = None) -> TangleWord:
         mirrored = raw.endswith("'")
         if mirrored:
             raw = raw[:-1]
-        if len(raw) < 2 or raw[0] not in "st" or not raw[1:].isdigit():
+        if len(raw) < 2 or raw[0] not in "st" or not raw[1:].isdecimal():
             raise ValueError(f"bad letter token {token!r}")
         kind = KIND_CLASSICAL if raw[0] == "s" else KIND_SINGULAR
         letters.append(Letter(kind, int(raw[1:]), mirrored))

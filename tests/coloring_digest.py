@@ -1,4 +1,4 @@
-"""Pin the counts and listings of both coloring backends by one digest.
+"""Pin the counts and listings of both coloring backends by two digests.
 
 Run from the repository root:
 
@@ -15,11 +15,15 @@ count and once for a listing capped at 1000 colorings, and the sha256
 digest runs over the (count, listing, truncated) triple of every call, in
 that order.
 
-The digest was computed before the two backends shared their pass-through
-quotient, so a change to either plan must leave every count and listing
-as it was.  The script prints the digest, the number of calls and its
-time, and exits 1 unless the digest is the pinned one.  It is not a
-pytest module, so Tier-1 does not run it.
+The first digest was computed before the two backends shared their
+pass-through quotient, so a change to either plan must leave every count
+and listing as it was.  The second runs the same calls on copies of the
+60 closures with their crossings shuffled: a closure walked in word order
+leaves the linear counter's elimination at most one row per strand, and a
+shuffled one leaves it up to 14.  It was computed before the
+elimination lost its column index.  The script prints each digest, its
+number of calls and its time, and exits 1 unless both are the pinned ones.
+It is not a pytest module, so Tier-1 does not run it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import random
 import sys
 import time
 
-from helpers import random_word
+from helpers import random_word, reordered
 from singquandles import (Classical, Singular, SingularDiagram,
                           braid_closure, build_tables,
                           count_colorings_bruteforce, count_colorings_linear,
@@ -37,15 +41,18 @@ from singquandles import (Classical, Singular, SingularDiagram,
                           gen_fig9_right, rotate_singular)
 
 DIGEST = "62d06b4744953631129d8ffae3564038600d322b9c517a4100560f454670c43a"
+SHUFFLED_DIGEST = "827ef7b28bf29d55a1ffa24f3a0c38da7a073b6b027cfa091432f892c74df4c0"
 CAP = 1000
 
 
-def diagrams() -> list:
+def closures() -> list:
     rng = random.Random(3)
-    closures = [braid_closure(random_word(rng, rng.randint(2, 4),
-                                          rng.randint(4, 16)))
-                for _ in range(60)]
+    return [braid_closure(random_word(rng, rng.randint(2, 4),
+                                      rng.randint(4, 16)))
+            for _ in range(60)]
 
+
+def diagrams() -> list:
     def turns(d, index):
         for _ in range(4):
             yield d
@@ -57,18 +64,21 @@ def diagrams() -> list:
              SingularDiagram(2, (Classical(0, 0, 0), Singular(1, 1, 1, 1))),
              SingularDiagram(3, (Classical(0, 1, 0), Classical(2, 2, 2),
                                  Singular(0, 2, 0, 2)))]
-    return closures + turned + kinks
+    return closures() + turned + kinks
 
 
-def main() -> int:
+def shuffled() -> list:
+    rng = random.Random(4)
+    return [reordered(d, rng) for d in closures()]
+
+
+def digest(diagrams, tables, members, pinned) -> int:
+    """Print the digest of both backends' calls on the diagrams; return 0 if
+    it is the pinned one, else 1."""
     start = time.perf_counter()
-    members = [p for n in range(1, 13) for p in find_params(n)]
-    tables = [s for n in range(1, 5)
-              for s in enumerate_singquandles(n, up_to_iso=True).structures]
-    tables += [build_tables(p) for p in members]
     h = hashlib.sha256()
     calls = 0
-    for d in diagrams():
+    for d in diagrams:
         for count, structures in ((count_colorings_bruteforce, tables),
                                   (count_colorings_linear, members)):
             for s in structures:
@@ -77,13 +87,22 @@ def main() -> int:
                     h.update(repr((report.count, report.colorings,
                                    report.truncated)).encode())
                     calls += 1
-    digest = h.hexdigest()
-    print(f"sha256 {digest}  calls {calls}  "
+    got = h.hexdigest()
+    print(f"sha256 {got}  calls {calls}  "
           f"{time.perf_counter() - start:.1f} s")
-    if digest != DIGEST:
-        print(f"expected sha256 {DIGEST}", file=sys.stderr)
+    if got != pinned:
+        print(f"expected sha256 {pinned}", file=sys.stderr)
         return 1
     return 0
+
+
+def main() -> int:
+    members = [p for n in range(1, 13) for p in find_params(n)]
+    tables = [s for n in range(1, 5)
+              for s in enumerate_singquandles(n, up_to_iso=True).structures]
+    tables += [build_tables(p) for p in members]
+    return (digest(diagrams(), tables, members, DIGEST)
+            | digest(shuffled(), tables, members, SHUFFLED_DIGEST))
 
 
 if __name__ == "__main__":

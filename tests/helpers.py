@@ -236,6 +236,13 @@ def renumber(diagram, perm):
         diagram.free)
 
 
+def reordered(diagram, rng):
+    """The same diagram with its crossings listed in a random order."""
+    return SingularDiagram(diagram.arcs, rng.sample(diagram.crossings,
+                                                    len(diagram.crossings)),
+                           diagram.free)
+
+
 def random_word(rng, strands: int, length: int) -> TangleWord:
     """A word of length letters on strands strands, about 30 % of them
     singular and half the classical ones mirrored."""

@@ -386,6 +386,9 @@ def test_gen_braid(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "gen", "braid", "2", "q9")
     assert code == 2 and "bad letter token" in err
+    got = run_cli(capsys, "gen", "braid", "2", "s²")
+    assert_one_line_error(*got)
+    assert "bad letter token 's²'" in got[2]
 
 
 def test_gen_fig8_points_to_system_command(capsys):

@@ -55,6 +55,9 @@ def test_parse_word():
         parse_word("s")
     with pytest.raises(ValueError):
         parse_word("t1'")
+    # '²' is a digit to str.isdigit but not to int()
+    with pytest.raises(ValueError, match="bad letter token 's²'"):
+        parse_word("s²")
     with pytest.raises(ValueError):
         parse_word("s3", strands=2)
     with pytest.raises(ValueError):
